@@ -9,8 +9,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/frame_stream.hpp"
 #include "mesh/generators.hpp"
 #include "net/fanout.hpp"
+#include "net/reactor.hpp"
 #include "net/simlink.hpp"
 #include "net/tcp.hpp"
 #include "mesh/decimate.hpp"
@@ -35,6 +38,7 @@
 #include "render/compositor.hpp"
 #include "render/raycast.hpp"
 #include "render/rasterizer.hpp"
+#include "render/render_list.hpp"
 #include "scene/serialize.hpp"
 #include "services/soap.hpp"
 #include "util/simd.hpp"
@@ -362,11 +366,12 @@ void BM_Raycast(benchmark::State& state) {
   render::RaycastOptions opts;
   opts.empty_skip = skip;
   opts.pool = pool.get();
+  const render::RenderList list = render::build_render_list(tree, cam, 1.0f);
   render::RenderStats stats;
   for (auto _ : state) {
     render::FrameBuffer fb(200, 200);
     fb.clear({0, 0, 0});
-    stats = render::raycast_tree_volumes(fb, tree, cam, opts);
+    stats = render::raycast_list(fb, list, cam, opts);
     benchmark::DoNotOptimize(fb);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(stats.rays_cast));
@@ -651,37 +656,50 @@ BENCHMARK(BM_SoapCallRoundTrip);
 
 // Real-TCP publish fan-out: one 64 KiB frame per iteration through a
 // FanoutHub to N loopback subscribers, `slow` of which drain at only one
-// frame per 20 ms (a wireless client that cannot keep up). The TCP engine
-// is latched from RAVE_NET at process start, so BENCH_transport.json runs
-// this benchmark twice — default (epoll reactor, bounded write queues,
-// drop-newest shed) and RAVE_NET=legacy (blocking send per subscriber) —
-// and compares per-publish latency. Arg 0 = subscribers, arg 1 = slow.
+// frame per 20 ms (a wireless client that cannot keep up). Every channel
+// runs on the epoll reactor with bounded write queues and drop-newest
+// shed; the result is per-publish latency. Arg 0 = subscribers, arg 1 =
+// slow.
 void BM_Transport(benchmark::State& state) {
   const int subscribers = static_cast<int>(state.range(0));
   const int slow = static_cast<int>(state.range(1));
-  // Latch bounded-queue shedding before the first channel exists (no-op
-  // for the legacy engine, which has no queue). Soft setenv: an explicit
-  // RAVE_NET_QUEUE/RAVE_NET_SHED in the environment wins.
+  // Latch bounded-queue shedding before the first channel exists. Soft
+  // setenv: an explicit RAVE_NET_QUEUE/RAVE_NET_SHED in the environment
+  // wins.
   ::setenv("RAVE_NET_QUEUE", "64", 0);
   ::setenv("RAVE_NET_SHED", "drop-newest", 0);
 
-  auto listener = net::TcpListener::bind(0);
+  std::mutex accept_mu;
+  std::condition_variable accept_cv;
+  std::vector<net::ChannelPtr> publishers;  // accepted (publisher-side) ends
+  auto listener = net::Reactor::global().listen(0, [&](net::ChannelPtr channel) {
+    std::lock_guard lock(accept_mu);
+    publishers.push_back(std::move(channel));
+    accept_cv.notify_all();
+  });
   if (!listener.ok()) {
     state.SkipWithError(listener.error().c_str());
     return;
   }
-  std::vector<net::ChannelPtr> publishers;  // accepted (publisher-side) ends
-  std::vector<net::ChannelPtr> readers;     // dialed (subscriber-side) ends
+  std::vector<net::ChannelPtr> readers;  // dialed (subscriber-side) ends
   for (int i = 0; i < subscribers; ++i) {
     auto dialed = net::tcp_connect("127.0.0.1", listener.value()->port());
-    auto accepted = listener.value()->accept(5.0);
-    if (!dialed.ok() || !accepted.has_value()) {
-      state.SkipWithError("connect/accept failed");
+    if (!dialed.ok()) {
+      state.SkipWithError("connect failed");
       return;
     }
     readers.push_back(std::move(dialed).take());
-    publishers.push_back(*std::move(accepted));
   }
+  {
+    std::unique_lock lock(accept_mu);
+    if (!accept_cv.wait_for(lock, std::chrono::seconds(5), [&] {
+          return publishers.size() == static_cast<size_t>(subscribers);
+        })) {
+      state.SkipWithError("accept timed out");
+      return;
+    }
+  }
+  listener.value()->close();
   net::FanoutHub hub;
   for (const auto& channel : publishers) hub.subscribe(channel);
 
@@ -722,7 +740,6 @@ void BM_Transport(benchmark::State& state) {
   done.store(true);
   for (const auto& channel : publishers) channel->close();
   for (std::thread& t : drains) t.join();
-  listener.value()->close();
 
   std::sort(publish_ms.begin(), publish_ms.end());
   const size_t n = publish_ms.size();
@@ -733,7 +750,6 @@ void BM_Transport(benchmark::State& state) {
   state.counters["shed_frac"] = static_cast<double>(sheds) /
                                 (static_cast<double>(state.iterations()) * subscribers);
   state.counters["frames_read"] = static_cast<double>(frames_read.load());
-  state.SetLabel(net::transport_mode() == net::TransportMode::Legacy ? "legacy" : "reactor");
 }
 BENCHMARK(BM_Transport)
     ->Args({16, 0})

@@ -148,7 +148,7 @@ uint64_t DataService::committed_updates(const std::string& name) const {
   return session == nullptr ? 0 : session->sequence;
 }
 
-void DataService::accept(net::ChannelPtr channel) { pending_.push_back(std::move(channel)); }
+void DataService::accept(net::ChannelPtr channel) { accepted_.push(std::move(channel)); }
 
 size_t DataService::pump() {
   size_t handled = pump_pending();
@@ -157,6 +157,7 @@ size_t DataService::pump() {
 }
 
 size_t DataService::pump_pending() {
+  for (net::ChannelPtr& channel : accepted_.take()) pending_.push_back(std::move(channel));
   size_t handled = 0;
   for (size_t i = 0; i < pending_.size();) {
     auto msg = pending_[i]->try_receive();

@@ -19,6 +19,7 @@
 
 #include "core/capacity.hpp"
 #include "core/distribution.hpp"
+#include "core/fabric.hpp"
 #include "core/failure_detector.hpp"
 #include "core/migration.hpp"
 #include "core/protocol.hpp"
@@ -76,7 +77,8 @@ class DataService {
   [[nodiscard]] uint64_t committed_updates(const std::string& name) const;
 
   // --- transport ----------------------------------------------------------
-  // New subscriber connection (wired by a Fabric listener).
+  // New subscriber connection (wired by a Fabric listener). Safe from any
+  // thread; the channel joins at the next pump().
   void accept(net::ChannelPtr channel);
 
   // Process pending messages on all channels; returns messages handled.
@@ -218,6 +220,7 @@ class DataService {
   util::Clock* clock_;
   Options options_;
   std::map<std::string, Session> sessions_;
+  AcceptInbox accepted_;                  // accepted, not yet pumped
   std::vector<net::ChannelPtr> pending_;  // connected, not yet subscribed
   uint64_t next_subscriber_id_ = 1;
   RecruitFn recruiter_;

@@ -1,8 +1,6 @@
 #include "core/fabric.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "net/endpoint.hpp"
 #include "net/reactor.hpp"
@@ -106,65 +104,36 @@ Result<net::ChannelPtr> InProcFabric::dial(const std::string& access_point) {
   return client_end;
 }
 
+// Accepts arrive on the shared event loop; `gate` serializes the callback
+// against teardown so unlisten() keeps its "no accepts after return"
+// guarantee without a thread to join.
 struct TcpFabric::Listener {
-  // Reactor engine: accepts arrive on the shared event loop; `gate`
-  // serializes the callback against teardown so unlisten() keeps its
-  // "no accepts after return" guarantee without an accept thread to join.
   struct AcceptGate {
     std::mutex mu;
     AcceptFn fn;
   };
-  std::shared_ptr<AcceptGate> gate;
+  std::shared_ptr<AcceptGate> gate = std::make_shared<AcceptGate>();
   std::unique_ptr<net::ReactorListener> reactor;
 
-  // Legacy engine: blocking accept loop on a dedicated thread.
-  std::unique_ptr<net::TcpListener> socket;
-  AcceptFn on_accept;
-  std::thread accept_thread;
-  std::atomic<bool> running{true};
-
   ~Listener() {
-    running = false;
     if (reactor) reactor->close();
-    if (gate) {
-      // Blocks until any in-flight accept callback finishes, then
-      // disarms future ones (the event loop may still hold a copy).
-      std::lock_guard lock(gate->mu);
-      gate->fn = nullptr;
-    }
-    if (socket) socket->close();
-    if (accept_thread.joinable()) accept_thread.join();
+    // Blocks until any in-flight accept callback finishes, then disarms
+    // future ones (the event loop may still hold a copy).
+    std::lock_guard lock(gate->mu);
+    gate->fn = nullptr;
   }
 };
 
 Result<std::string> TcpFabric::listen(const std::string& name, AcceptFn on_accept) {
   auto listener = std::make_unique<Listener>();
-  uint16_t port = 0;
-  if (net::transport_mode() == net::TransportMode::Reactor) {
-    listener->gate = std::make_shared<Listener::AcceptGate>();
-    listener->gate->fn = std::move(on_accept);
-    auto gate = listener->gate;
-    auto bound = net::Reactor::global().listen(0, [gate](net::ChannelPtr channel) {
-      std::lock_guard lock(gate->mu);
-      if (gate->fn) gate->fn(std::move(channel));
-    });
-    if (!bound.ok()) return make_error(bound.error());
-    listener->reactor = std::move(bound).take();
-    port = listener->reactor->port();
-  } else {
-    auto socket = net::TcpListener::bind(0);
-    if (!socket.ok()) return make_error(socket.error());
-    listener->socket = std::move(socket).take();
-    listener->on_accept = std::move(on_accept);
-    port = listener->socket->port();
-    Listener* raw = listener.get();
-    listener->accept_thread = std::thread([raw] {
-      while (raw->running.load(std::memory_order_relaxed)) {
-        auto channel = raw->socket->accept(0.1);
-        if (channel.has_value()) raw->on_accept(std::move(*channel));
-      }
-    });
-  }
+  listener->gate->fn = std::move(on_accept);
+  auto bound = net::Reactor::global().listen(0, [gate = listener->gate](net::ChannelPtr channel) {
+    std::lock_guard lock(gate->mu);
+    if (gate->fn) gate->fn(std::move(channel));
+  });
+  if (!bound.ok()) return make_error(bound.error());
+  listener->reactor = std::move(bound).take();
+  const uint16_t port = listener->reactor->port();
   {
     std::lock_guard lock(mu_);
     listeners_[name] = std::move(listener);
@@ -181,7 +150,7 @@ void TcpFabric::unlisten(const std::string& name) {
     doomed = std::move(it->second);
     listeners_.erase(it);
   }
-  // Destructor joins the accept thread outside the lock.
+  // Destructor closes the listener and drains its gate outside the lock.
 }
 
 Result<net::ChannelPtr> TcpFabric::dial(const std::string& access_point) {

@@ -14,6 +14,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/failure_detector.hpp"
 #include "net/channel.hpp"
@@ -22,6 +24,27 @@
 #include "util/clock.hpp"
 
 namespace rave::core {
+
+// Hand-off from accept callbacks to the pump that owns the channel list.
+// A callback may run on another thread (TcpFabric accepts on the event
+// loop) while pump() walks that list, so callbacks push() here and pump()
+// take()s everything pending before it iterates: an accepted channel joins
+// at the next pump.
+class AcceptInbox {
+ public:
+  void push(net::ChannelPtr channel) {
+    std::lock_guard lock(mu_);
+    channels_.push_back(std::move(channel));
+  }
+  std::vector<net::ChannelPtr> take() {
+    std::lock_guard lock(mu_);
+    return std::exchange(channels_, {});
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<net::ChannelPtr> channels_;
+};
 
 class Fabric {
  public:
@@ -82,9 +105,8 @@ class InProcFabric final : public Fabric {
 };
 
 // Real sockets on loopback; access points are "tcp:127.0.0.1:<port>".
-// On the reactor engine (the default) accepts arrive on the shared event
-// loop — no per-listener thread; the legacy engine keeps a blocking
-// accept thread per listener.
+// Accepts arrive on the shared reactor's event-loop thread, not on the
+// thread that pumps the listening service (see AcceptInbox).
 class TcpFabric final : public Fabric {
  public:
   TcpFabric();  // out of line: Listener is incomplete here

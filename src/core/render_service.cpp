@@ -25,9 +25,8 @@ RenderService::RenderService(util::Clock& clock, Fabric& fabric, Options options
     : clock_(&clock), fabric_(&fabric), options_(std::move(options)) {}
 
 Result<std::string> RenderService::listen_clients(const std::string& name) {
-  auto access = fabric_->listen(name, [this](net::ChannelPtr channel) {
-    clients_.push_back(std::make_unique<Client>(std::move(channel), options_.codec));
-  });
+  auto access = fabric_->listen(
+      name, [this](net::ChannelPtr channel) { client_inbox_.push(std::move(channel)); });
   if (!access.ok()) return access;
   client_access_point_ = access.value();
   return access;
@@ -37,7 +36,7 @@ Result<std::string> RenderService::listen_peer(const std::string& name) {
   if (options_.active_client_only)
     return make_error("render: active render clients do not expose peer endpoints");
   auto access = fabric_->listen(
-      name, [this](net::ChannelPtr channel) { peer_channels_.push_back(std::move(channel)); });
+      name, [this](net::ChannelPtr channel) { peer_inbox_.push(std::move(channel)); });
   if (!access.ok()) return access;
   peer_access_point_ = access.value();
   return access;
@@ -87,6 +86,9 @@ size_t RenderService::pump() {
   // Spans recorded while this service drives the rasterizer/codec carry
   // its host label.
   obs::Tracer::set_current_host(options_.profile.name);
+  for (net::ChannelPtr& channel : client_inbox_.take())
+    clients_.push_back(std::make_unique<Client>(std::move(channel), options_.codec));
+  for (net::ChannelPtr& channel : peer_inbox_.take()) peer_channels_.push_back(std::move(channel));
   size_t handled = 0;
   for (auto& [name, replica] : replicas_) handled += pump_replica(replica);
   handled += pump_clients();

@@ -264,6 +264,8 @@ class RenderService {
   Fabric* fabric_;
   Options options_;
   std::map<std::string, Replica> replicas_;
+  AcceptInbox client_inbox_;  // accepted, joins clients_ at the next pump
+  AcceptInbox peer_inbox_;    // accepted, joins peer_channels_ at the next pump
   std::vector<std::unique_ptr<Client>> clients_;
   std::vector<net::ChannelPtr> peer_channels_;
   std::deque<DelayedSend> delayed_;

@@ -31,10 +31,12 @@ using util::Status;
 
 namespace {
 
+// Wire frame: u32 LE payload length, u16 LE type, payload. The type's high
+// bit marks a traced frame (real types stay below 0x8000): trace_id and
+// span_id (u64 LE each) follow the 6-byte header. 0x4000 marks an
+// HLC-stamped frame: wall micros (u64 LE) + logical (u32 LE) ride after
+// any trace context. Frames with neither flag keep the original format.
 constexpr uint16_t kTracedFlag = 0x8000;
-// 0x4000 marks an HLC-stamped frame: wall micros (u64 LE) + logical
-// (u32 LE) ride after any trace context. Same format as the legacy
-// engine; frames with neither flag stay byte-identical to the original.
 constexpr uint16_t kHlcFlag = 0x4000;
 // A frame length beyond this is protocol corruption, not data: drop the
 // connection rather than try to allocate it.

@@ -1,19 +1,17 @@
-// Async reactor transport — the event-loop engine behind the TCP fabric.
+// Async reactor transport — the one TCP engine behind the fabric.
 //
-// The original transport was blocking thread-per-connection: one accept
-// thread per listener and a syscall-blocking send()/recv() per channel,
-// which caps subscriber count and lets one stalled client wedge a
-// publisher mid-fanout. The Reactor replaces that with a single epoll
-// event-loop thread driving every non-blocking socket: reads are parsed
-// into per-channel receive queues, writes drain bounded per-channel write
-// queues via scatter-gather sendmsg (header + payload prefix + shared
-// tail in one syscall, zero payload copies), and a slow client trips its
-// queue's shed policy instead of stalling the sender.
+// A single epoll event-loop thread drives every non-blocking socket and
+// listener: no thread per connection or per listener, so subscriber count
+// is not capped by threads and one stalled client cannot wedge a publisher
+// mid-fanout. Reads are parsed into per-channel receive queues, writes
+// drain bounded per-channel write queues via scatter-gather sendmsg
+// (header + payload prefix + shared tail in one syscall, zero payload
+// copies), and a slow client trips its queue's shed policy instead of
+// stalling the sender.
 //
 // The synchronous Channel interface stays: a reactor channel's send()
 // enqueues (and opportunistically flushes inline), receive_result() waits
-// on the parsed-frame queue. Wire format is byte-identical to the legacy
-// transport, so either engine can sit on each end of a connection.
+// on the parsed-frame queue.
 //
 // Backpressure surfaces three ways: per-channel ChannelStats
 // (messages_shed), process-wide metrics the SLO engine watches
@@ -31,7 +29,7 @@
 namespace rave::net {
 
 // What a bounded write queue does when a send arrives and the queue is at
-// its limit. Block preserves the old lossless semantics for request/reply
+// its limit. Block waits for room and never loses a frame, for request/reply
 // channels; the drop policies guarantee the sending thread never stalls —
 // a frame publisher sheds output to a slow subscriber (the subscriber
 // recovers via the tile-miss fallback path, so correctness is unaffected).

@@ -2,16 +2,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include "net/reactor.hpp"
 
@@ -19,179 +14,6 @@ namespace rave::net {
 
 using util::make_error;
 using util::Result;
-using util::Status;
-
-TransportMode transport_mode() {
-  static const TransportMode mode = [] {
-    const char* env = std::getenv("RAVE_NET");
-    if (env != nullptr && std::strcmp(env, "legacy") == 0) return TransportMode::Legacy;
-    return TransportMode::Reactor;
-  }();
-  return mode;
-}
-
-namespace {
-// High bit of the wire type marks a traced frame (real types stay below
-// 0x8000); the frame then carries trace_id + span_id (8 bytes LE each)
-// between the 6-byte header and the payload. 0x4000 marks an HLC-stamped
-// frame: wall micros (u64 LE) + logical (u32 LE) follow any trace
-// context. Both flags are optional and independent; frames carrying
-// neither stay byte-identical to the original format.
-constexpr uint16_t kTracedFlag = 0x8000;
-constexpr uint16_t kHlcFlag = 0x4000;
-
-// The legacy blocking engine: one syscall-blocking channel per socket.
-// Kept behind RAVE_NET=legacy as the migration escape hatch and as the
-// baseline the transport benchmark compares against.
-class TcpChannel final : public Channel {
- public:
-  explicit TcpChannel(int fd) : fd_(fd) {
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-
-  ~TcpChannel() override { close(); }
-
-  Status send(Message message) override {
-    std::lock_guard lock(send_mu_);
-    if (fd_ < 0) return make_error("tcp: channel closed");
-    // Traced messages set the (otherwise unused) high bit of the type
-    // field and carry 16 extra header bytes; HLC-stamped messages set
-    // 0x4000 and carry 12 more after any trace context. Frames with
-    // neither stay byte-identical to the pre-tracing format.
-    uint8_t header[34];
-    size_t header_len = 6;
-    const uint32_t len = static_cast<uint32_t>(message.payload_size());
-    for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(len >> (8 * i));
-    uint16_t wire_type = message.type;
-    if (message.traced()) {
-      wire_type |= kTracedFlag;
-      for (int i = 0; i < 8; ++i)
-        header[6 + i] = static_cast<uint8_t>(message.trace_id >> (8 * i));
-      for (int i = 0; i < 8; ++i)
-        header[14 + i] = static_cast<uint8_t>(message.span_id >> (8 * i));
-      header_len = 22;
-    }
-    if (message.hlc_stamped()) {
-      wire_type |= kHlcFlag;
-      for (int i = 0; i < 8; ++i)
-        header[header_len + i] = static_cast<uint8_t>(message.hlc_wall >> (8 * i));
-      for (int i = 0; i < 4; ++i)
-        header[header_len + 8 + i] = static_cast<uint8_t>(message.hlc_logical >> (8 * i));
-      header_len += 12;
-    }
-    header[4] = static_cast<uint8_t>(wire_type & 0xFF);
-    header[5] = static_cast<uint8_t>(wire_type >> 8);
-    // Header, payload prefix, and shared tail go out as-is — the tail is
-    // never folded into a staging buffer.
-    if (!write_all(header, header_len)) return make_error("tcp: send failed");
-    if (!message.payload.empty() && !write_all(message.payload.data(), message.payload.size()))
-      return make_error("tcp: send failed");
-    if (!message.tail.empty() && !write_all(message.tail.data(), message.tail.size()))
-      return make_error("tcp: send failed");
-    stats_.messages_sent++;
-    stats_.bytes_sent += message.wire_size();
-    return {};
-  }
-
-  Result<Message> receive_result(double timeout_seconds) override {
-    std::lock_guard lock(recv_mu_);
-    if (fd_ < 0) return make_error("tcp: channel closed");
-    if (!wait_readable(timeout_seconds))
-      return make_error("tcp: receive timed out after " + std::to_string(timeout_seconds) + "s");
-    uint8_t header[6];
-    if (!read_all(header, 6)) return make_error("tcp: closed by peer");
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) len |= static_cast<uint32_t>(header[i]) << (8 * i);
-    Message msg;
-    msg.type = static_cast<uint16_t>(header[4] | (header[5] << 8));
-    if ((msg.type & kTracedFlag) != 0) {
-      msg.type &= static_cast<uint16_t>(~kTracedFlag);
-      uint8_t trace[16];
-      if (!read_all(trace, 16)) return make_error("tcp: closed by peer");
-      for (int i = 0; i < 8; ++i)
-        msg.trace_id |= static_cast<uint64_t>(trace[i]) << (8 * i);
-      for (int i = 0; i < 8; ++i)
-        msg.span_id |= static_cast<uint64_t>(trace[8 + i]) << (8 * i);
-    }
-    if ((msg.type & kHlcFlag) != 0) {
-      msg.type &= static_cast<uint16_t>(~kHlcFlag);
-      uint8_t hlc[12];
-      if (!read_all(hlc, 12)) return make_error("tcp: closed by peer");
-      for (int i = 0; i < 8; ++i)
-        msg.hlc_wall |= static_cast<uint64_t>(hlc[i]) << (8 * i);
-      for (int i = 0; i < 4; ++i)
-        msg.hlc_logical |= static_cast<uint32_t>(hlc[8 + i]) << (8 * i);
-    }
-    msg.payload.resize(len);
-    if (len > 0 && !read_all(msg.payload.data(), len)) return make_error("tcp: closed by peer");
-    stats_.messages_received++;
-    stats_.bytes_received += msg.wire_size();
-    return msg;
-  }
-
-  void close() override {
-    std::lock_guard lock(close_mu_);
-    if (fd_ >= 0) {
-      ::shutdown(fd_, SHUT_RDWR);
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
-  [[nodiscard]] bool is_open() const override { return fd_ >= 0; }
-
-  [[nodiscard]] ChannelStats stats() const override { return stats_; }
-
- private:
-  bool write_all(const uint8_t* data, size_t n) {
-    size_t off = 0;
-    while (off < n) {
-      const ssize_t w = ::send(fd_, data + off, n - off, MSG_NOSIGNAL);
-      if (w <= 0) {
-        if (w < 0 && (errno == EINTR)) continue;
-        return false;
-      }
-      off += static_cast<size_t>(w);
-    }
-    return true;
-  }
-
-  bool read_all(uint8_t* data, size_t n) {
-    size_t off = 0;
-    while (off < n) {
-      const ssize_t r = ::recv(fd_, data + off, n - off, 0);
-      if (r <= 0) {
-        if (r < 0 && errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<size_t>(r);
-    }
-    return true;
-  }
-
-  bool wait_readable(double timeout_seconds) {
-    struct pollfd pfd {
-      fd_, POLLIN, 0
-    };
-    const int ms = timeout_seconds <= 0 ? 0 : static_cast<int>(timeout_seconds * 1000.0 + 0.5);
-    const int rc = ::poll(&pfd, 1, ms);
-    return rc > 0 && (pfd.revents & (POLLIN | POLLHUP)) != 0;
-  }
-
-  int fd_ = -1;
-  std::mutex send_mu_;
-  std::mutex recv_mu_;
-  std::mutex close_mu_;
-  ChannelStats stats_;
-};
-
-// Wrap a freshly connected socket in whichever engine RAVE_NET selects.
-ChannelPtr wrap_socket(int fd) {
-  if (transport_mode() == TransportMode::Reactor) return Reactor::global().adopt(fd);
-  return std::make_shared<TcpChannel>(fd);
-}
-}  // namespace
 
 Result<ChannelPtr> tcp_connect(const std::string& host, uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -207,50 +29,7 @@ Result<ChannelPtr> tcp_connect(const std::string& host, uint16_t port) {
     ::close(fd);
     return make_error("tcp: connect to " + host + " failed: " + std::strerror(errno));
   }
-  return wrap_socket(fd);
-}
-
-Result<std::unique_ptr<TcpListener>> TcpListener::bind(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return make_error("tcp: socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return make_error(std::string("tcp: bind failed: ") + std::strerror(errno));
-  }
-  if (::listen(fd, 16) != 0) {
-    ::close(fd);
-    return make_error("tcp: listen failed");
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  return std::unique_ptr<TcpListener>(new TcpListener(fd, ntohs(addr.sin_port)));
-}
-
-TcpListener::~TcpListener() { close(); }
-
-std::optional<ChannelPtr> TcpListener::accept(double timeout_seconds) {
-  if (fd_ < 0) return std::nullopt;
-  struct pollfd pfd {
-    fd_, POLLIN, 0
-  };
-  const int ms = timeout_seconds <= 0 ? 0 : static_cast<int>(timeout_seconds * 1000.0 + 0.5);
-  if (::poll(&pfd, 1, ms) <= 0) return std::nullopt;
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) return std::nullopt;
-  return wrap_socket(client);
-}
-
-void TcpListener::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  return Reactor::global().adopt(fd);
 }
 
 }  // namespace rave::net

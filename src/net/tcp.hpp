@@ -1,14 +1,8 @@
 // Real TCP transport (loopback or LAN). Frames are length-prefixed binary —
 // the "direct socket communication" the paper drops to for bulk data after
 // SOAP-based subscription (§4.3). Byte order on the wire is fixed
-// little-endian regardless of host endianness.
-//
-// Two interchangeable engines sit behind this interface, selected by
-// RAVE_NET: the epoll reactor (default, reactor.hpp) drives every
-// connection from a shared event loop with bounded write queues and
-// scatter-gather sends; "legacy" keeps the original blocking
-// syscall-per-channel path until it is retired. The wire format is
-// byte-identical either way.
+// little-endian regardless of host endianness. Every connection runs on
+// the epoll reactor (reactor.hpp); listeners are Reactor::listen.
 #pragma once
 
 #include <cstdint>
@@ -18,35 +12,13 @@
 
 namespace rave::net {
 
-// Which TCP engine new connections use. Read once from RAVE_NET
-// ("reactor" or "legacy"); unset or unrecognized means reactor.
-enum class TransportMode : uint8_t { Reactor, Legacy };
-TransportMode transport_mode();
+// Exists only so callers that record the TCP engine still build: the
+// reactor is the one engine.
+enum class TransportMode : uint8_t { Reactor };
+inline TransportMode transport_mode() { return TransportMode::Reactor; }
 
-// Connect to a listening RAVE endpoint.
+// Connect to a listening RAVE endpoint; the channel runs on
+// Reactor::global().
 util::Result<ChannelPtr> tcp_connect(const std::string& host, uint16_t port);
-
-class TcpListener {
- public:
-  // Bind to 127.0.0.1:`port`; port 0 picks an ephemeral port.
-  static util::Result<std::unique_ptr<TcpListener>> bind(uint16_t port = 0);
-
-  ~TcpListener();
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-
-  [[nodiscard]] uint16_t port() const { return port_; }
-
-  // Accept one connection; nullopt on timeout. The returned channel runs
-  // on the engine transport_mode() selects.
-  std::optional<ChannelPtr> accept(double timeout_seconds);
-
-  void close();
-
- private:
-  TcpListener(int fd, uint16_t port) : fd_(fd), port_(port) {}
-  int fd_ = -1;
-  uint16_t port_ = 0;
-};
 
 }  // namespace rave::net

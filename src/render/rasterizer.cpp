@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "render/frustum.hpp"
 #include "render/render_list.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -782,29 +781,6 @@ void Rasterizer::draw_points(const scene::PointCloudData& points, const Mat4& mo
       });
 }
 
-void Rasterizer::draw_tree(const scene::SceneTree& tree, const Camera& camera,
-                           const RenderOptions& options) {
-  const float aspect = static_cast<float>(fb_.width()) / static_cast<float>(fb_.height());
-  const Frustum frustum = Frustum::from_camera(camera, aspect);
-  tree.traverse([&](const scene::SceneNode& node, const Mat4& world) {
-    if (options.frustum_cull && !std::holds_alternative<std::monostate>(node.payload)) {
-      const scene::Aabb bounds = node.local_bounds().transformed(world);
-      if (bounds.valid() && !frustum.intersects(bounds)) {
-        ++stats_.nodes_culled;
-        return;
-      }
-    }
-    if (const auto* mesh = std::get_if<scene::MeshData>(&node.payload)) {
-      draw_mesh(*mesh, world, camera, options);
-    } else if (const auto* pts = std::get_if<scene::PointCloudData>(&node.payload)) {
-      draw_points(*pts, world, camera, options);
-    } else if (const auto* av = std::get_if<scene::AvatarData>(&node.payload)) {
-      draw_mesh(scene::make_avatar_mesh(*av), world, camera, options);
-    }
-    // VoxelGrid nodes are composited by the ray-caster (raycast.hpp).
-  });
-}
-
 void Rasterizer::draw_list(const RenderList& list, const Camera& camera,
                            const RenderOptions& options) {
   stats_.nodes_culled += list.nodes_culled;
@@ -823,7 +799,10 @@ FrameBuffer render_tree(const scene::SceneTree& tree, const Camera& camera, int 
                         const RenderOptions& options, RenderStats* stats) {
   Rasterizer raster(width, height);
   raster.clear(options);
-  raster.draw_tree(tree, camera, options);
+  RenderListOptions list_options;
+  list_options.frustum_cull = options.frustum_cull;
+  const float aspect = static_cast<float>(width) / static_cast<float>(height);
+  raster.draw_list(build_render_list(tree, camera, aspect, list_options), camera, options);
   if (stats != nullptr) *stats = raster.stats();
   return std::move(raster.framebuffer());
 }

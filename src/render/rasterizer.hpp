@@ -95,15 +95,10 @@ class Rasterizer {
   void draw_points(const scene::PointCloudData& points, const Mat4& model, const Camera& camera,
                    const RenderOptions& options = {});
 
-  // Render an entire scene tree: meshes, point clouds, avatars (voxel
-  // grids are handled by the ray-caster, see raycast.hpp).
-  void draw_tree(const scene::SceneTree& tree, const Camera& camera,
-                 const RenderOptions& options = {});
-
-  // Render the rasterizable items of a pre-culled render list
-  // (render_list.hpp) in list order — byte-identical to draw_tree, which
-  // applies the same frustum test during its walk. The list's cull count
-  // is folded into stats().nodes_culled.
+  // Render the rasterizable items (meshes, point clouds, avatars) of a
+  // pre-culled render list (render_list.hpp) in list order; voxel grids are
+  // the ray-caster's (raycast.hpp). The list's cull count is folded into
+  // stats().nodes_culled.
   void draw_list(const RenderList& list, const Camera& camera,
                  const RenderOptions& options = {});
 
@@ -118,7 +113,8 @@ class Rasterizer {
   RenderStats stats_;
 };
 
-// Convenience: render a whole tree into a fresh framebuffer.
+// Convenience: render a whole tree's rasterizable items into a fresh
+// framebuffer — clear, build_render_list (options.frustum_cull), draw_list.
 FrameBuffer render_tree(const scene::SceneTree& tree, const Camera& camera, int width, int height,
                         const RenderOptions& options = {}, RenderStats* stats = nullptr);
 

@@ -793,16 +793,6 @@ RenderStats raycast_volume(FrameBuffer& fb, const VoxelGridData& grid, const Mat
   return st;
 }
 
-RenderStats raycast_tree_volumes(FrameBuffer& fb, const scene::SceneTree& tree,
-                                 const Camera& camera, const RaycastOptions& options) {
-  RenderStats st;
-  tree.traverse([&](const scene::SceneNode& node, const Mat4& world) {
-    if (const auto* grid = std::get_if<VoxelGridData>(&node.payload))
-      st += raycast_volume(fb, *grid, world, camera, options);
-  });
-  return st;
-}
-
 RenderStats raycast_list(FrameBuffer& fb, const RenderList& list, const Camera& camera,
                          const RaycastOptions& options, std::vector<RenderStats>* per_volume) {
   RenderStats st;

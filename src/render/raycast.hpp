@@ -59,11 +59,6 @@ RenderStats raycast_volume(FrameBuffer& fb, const scene::VoxelGridData& grid,
                            const util::Mat4& model, const scene::Camera& camera,
                            const RaycastOptions& options = {});
 
-// Ray-cast every VoxelGrid node in the tree.
-RenderStats raycast_tree_volumes(FrameBuffer& fb, const scene::SceneTree& tree,
-                                 const scene::Camera& camera,
-                                 const RaycastOptions& options = {});
-
 // Ray-cast the volume blocks of a culled render list (render_list.hpp) in
 // list order. When `per_volume` is non-null it is filled with one stats
 // entry per list volume (aligned with list.volumes) — the per-node ray

@@ -6,9 +6,9 @@ namespace rave::render {
 
 namespace {
 
-// Mirrors Rasterizer::draw_tree's cull: only payload nodes with valid
-// bounds are tested; an invalid box (empty mesh) is never culled, so the
-// backend sees exactly the nodes the uncull'd walk would draw.
+// Only payload nodes with valid bounds are tested; an invalid box (empty
+// mesh) is never culled, so the backend sees exactly the nodes the
+// unculled walk would draw.
 bool culled(const scene::SceneNode& node, const util::Mat4& world, const Frustum& frustum) {
   const scene::Aabb bounds = node.local_bounds().transformed(world);
   return bounds.valid() && !frustum.intersects(bounds);

@@ -1,9 +1,8 @@
 // Frustum-culling render-list extraction — the single scene-graph walk in
 // front of every backend. One pass per frame tests each payload node's
 // world-space bounds against the view frustum and emits per-backend lists:
-// rasterizable items (meshes, point clouds, avatars) in the exact
-// depth-first order Rasterizer::draw_tree uses, and volume blocks for the
-// ray-caster. Backends then render from the list instead of re-walking the
+// rasterizable items (meshes, point clouds, avatars) in depth-first order,
+// and volume blocks for the ray-caster. Backends then render from the list instead of re-walking the
 // tree, so every distribution unit — full frames, tiles, migrated subsets,
 // fan-out publishes — shrinks to visible work. Culling never changes
 // pixels, only skips work: an out-of-frustum node cannot touch any pixel
@@ -23,8 +22,8 @@ namespace rave::render {
 
 struct RenderList {
   // One rasterizable payload node (mesh / point cloud / avatar). Items keep
-  // draw_tree's interleaved depth-first order so draw_list reproduces its
-  // pixels byte-exactly (z-ties resolve by submission order).
+  // the tree's interleaved depth-first order, so z-ties resolve the same
+  // way on every backend and every cull setting (submission order).
   struct RasterItem {
     const scene::SceneNode* node = nullptr;
     util::Mat4 world;

@@ -1,5 +1,7 @@
 #include "render/stereo.hpp"
 
+#include "render/render_list.hpp"
+
 namespace rave::render {
 
 using scene::Camera;
@@ -28,20 +30,26 @@ Camera right_eye(const Camera& center, float eye_separation) {
 
 StereoPair render_stereo(const scene::SceneTree& tree, const Camera& camera, int width,
                          int height, const StereoOptions& options) {
+  const float aspect = static_cast<float>(width) / static_cast<float>(height);
+  RenderListOptions list_options;
+  list_options.frustum_cull = options.base.frustum_cull;
+  // The ray-caster shares the rasterizer's pool (rows are independent, so
+  // the parallel result is identical to the serial one).
+  RaycastOptions ray_opts;
+  ray_opts.region = options.base.region;
+  ray_opts.pool = options.base.pool;
+  // One culled list per eye feeds both backends.
+  const auto render_eye = [&](const Camera& eye) {
+    const RenderList list = build_render_list(tree, eye, aspect, list_options);
+    Rasterizer raster(width, height);
+    raster.clear(options.base);
+    raster.draw_list(list, eye, options.base);
+    if (options.include_volumes) raycast_list(raster.framebuffer(), list, eye, ray_opts);
+    return std::move(raster.framebuffer());
+  };
   StereoPair pair;
-  const Camera left = left_eye(camera, options.eye_separation);
-  const Camera right = right_eye(camera, options.eye_separation);
-  pair.left = render_tree(tree, left, width, height, options.base);
-  pair.right = render_tree(tree, right, width, height, options.base);
-  if (options.include_volumes) {
-    // The ray-caster shares the rasterizer's pool (rows are independent,
-    // so the parallel result is identical to the serial one).
-    RaycastOptions ray_opts;
-    ray_opts.region = options.base.region;
-    ray_opts.pool = options.base.pool;
-    raycast_tree_volumes(pair.left, tree, left, ray_opts);
-    raycast_tree_volumes(pair.right, tree, right, ray_opts);
-  }
+  pair.left = render_eye(left_eye(camera, options.eye_separation));
+  pair.right = render_eye(right_eye(camera, options.eye_separation));
   return pair;
 }
 

@@ -8,6 +8,7 @@
 #include "mesh/primitives.hpp"
 #include "render/frustum.hpp"
 #include "render/rasterizer.hpp"
+#include "render/render_list.hpp"
 #include "sim/molecule.hpp"
 
 namespace rave {
@@ -276,11 +277,12 @@ TEST(ParallelRaycast, BitIdenticalToSerial) {
   render::FrameBuffer serial(64, 64), parallel(64, 64);
   serial.clear({0, 0, 0});
   parallel.clear({0, 0, 0});
-  render::raycast_tree_volumes(serial, tree, front_camera());
+  const render::RenderList list = render::build_render_list(tree, front_camera(), 1.0f);
+  render::raycast_list(serial, list, front_camera());
   util::ThreadPool pool(4);
   render::RaycastOptions opts;
   opts.pool = &pool;
-  render::raycast_tree_volumes(parallel, tree, front_camera(), opts);
+  render::raycast_list(parallel, list, front_camera(), opts);
   EXPECT_EQ(serial.color(), parallel.color());
   EXPECT_EQ(serial.depth(), parallel.depth());
 }

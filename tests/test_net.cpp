@@ -2,10 +2,15 @@
 // fan-out distribution.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <deque>
+#include <mutex>
+#include <optional>
 #include <thread>
 
 #include "net/channel.hpp"
 #include "net/fanout.hpp"
+#include "net/reactor.hpp"
 #include "net/simlink.hpp"
 #include "net/tcp.hpp"
 #include "util/clock.hpp"
@@ -59,12 +64,40 @@ TEST(InProcChannel, StatsCountTraffic) {
   EXPECT_EQ(b->stats().messages_received, 1u);
 }
 
+// Channels a reactor listener accepted, handed from the event loop to the
+// test thread. Declare it before the listener so it outlives every accept.
+struct AcceptQueue {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<ChannelPtr> channels;
+
+  Reactor::AcceptFn on_accept() {
+    return [this](ChannelPtr channel) {
+      std::lock_guard lock(mu);
+      channels.push_back(std::move(channel));
+      cv.notify_all();
+    };
+  }
+
+  // The next accepted channel; nullopt on timeout.
+  std::optional<ChannelPtr> accept(double timeout_seconds) {
+    std::unique_lock lock(mu);
+    if (!cv.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
+                     [&] { return !channels.empty(); }))
+      return std::nullopt;
+    ChannelPtr channel = std::move(channels.front());
+    channels.pop_front();
+    return channel;
+  }
+};
+
 TEST(Tcp, ConnectSendReceive) {
-  auto listener = TcpListener::bind(0);
+  AcceptQueue accepted;
+  auto listener = Reactor::global().listen(0, accepted.on_accept());
   ASSERT_TRUE(listener.ok()) << listener.error();
   auto client = tcp_connect("127.0.0.1", listener.value()->port());
   ASSERT_TRUE(client.ok()) << client.error();
-  auto server = listener.value()->accept(1.0);
+  auto server = accepted.accept(1.0);
   ASSERT_TRUE(server.has_value());
 
   std::vector<uint8_t> payload(1000);
@@ -103,11 +136,12 @@ TEST(Message, WireSizeAccountsForOptionalHeaders) {
 }
 
 TEST(Tcp, HlcStampRoundTripsAndUnstampedStaysClean) {
-  auto listener = TcpListener::bind(0);
+  AcceptQueue accepted;
+  auto listener = Reactor::global().listen(0, accepted.on_accept());
   ASSERT_TRUE(listener.ok()) << listener.error();
   auto client = tcp_connect("127.0.0.1", listener.value()->port());
   ASSERT_TRUE(client.ok()) << client.error();
-  auto server = listener.value()->accept(1.0);
+  auto server = accepted.accept(1.0);
   ASSERT_TRUE(server.has_value());
 
   Message stamped(0x0123, {5, 6, 7});
@@ -131,17 +165,19 @@ TEST(Tcp, HlcStampRoundTripsAndUnstampedStaysClean) {
 }
 
 TEST(Tcp, ReceiveTimesOutWithoutData) {
-  auto listener = TcpListener::bind(0);
+  AcceptQueue accepted;
+  auto listener = Reactor::global().listen(0, accepted.on_accept());
   ASSERT_TRUE(listener.ok());
   auto client = tcp_connect("127.0.0.1", listener.value()->port());
   ASSERT_TRUE(client.ok());
-  auto server = listener.value()->accept(1.0);
+  auto server = accepted.accept(1.0);
   ASSERT_TRUE(server.has_value());
   EXPECT_FALSE(client.value()->receive(0.05).has_value());
 }
 
 TEST(Tcp, ConnectToClosedPortFails) {
-  auto listener = TcpListener::bind(0);
+  AcceptQueue accepted;
+  auto listener = Reactor::global().listen(0, accepted.on_accept());
   ASSERT_TRUE(listener.ok());
   const uint16_t port = listener.value()->port();
   listener.value()->close();

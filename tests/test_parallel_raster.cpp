@@ -13,6 +13,7 @@
 #include "mesh/primitives.hpp"
 #include "render/compositor.hpp"
 #include "render/rasterizer.hpp"
+#include "render/render_list.hpp"
 #include "scene/camera.hpp"
 #include "util/thread_pool.hpp"
 
@@ -102,14 +103,14 @@ TEST(ParallelRaster, PartialRegionMatchesSerialAndFullFrame) {
   serial_opts.region = region;
   Rasterizer serial(160, 120);
   serial.clear(serial_opts);
-  serial.draw_tree(tree, cam, serial_opts);
+  serial.draw_list(build_render_list(tree, cam, 160.0f / 120.0f), cam, serial_opts);
 
   ThreadPool pool(4);
   RenderOptions pool_opts = serial_opts;
   pool_opts.pool = &pool;
   Rasterizer parallel(160, 120);
   parallel.clear(pool_opts);
-  parallel.draw_tree(tree, cam, pool_opts);
+  parallel.draw_list(build_render_list(tree, cam, 160.0f / 120.0f), cam, pool_opts);
   expect_identical(serial.framebuffer(), parallel.framebuffer(), "partial region");
 
   // Inside the region both must match the full-frame render bit-exactly

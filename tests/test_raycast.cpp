@@ -311,18 +311,6 @@ TEST(RenderListCull, CulledMatchesUnculledForRandomCameras) {
   EXPECT_TRUE(culled_something) << "no camera culled anything; the property is vacuous";
 }
 
-TEST(RenderListCull, DrawListMatchesDrawTree) {
-  const SceneTree tree = mixed_scene();
-  const Camera cam = front_camera();
-  Rasterizer via_tree(160, 120), via_list(160, 120);
-  via_tree.clear();
-  via_tree.draw_tree(tree, cam, {});
-  render::raycast_tree_volumes(via_tree.framebuffer(), tree, cam);
-
-  render_via_list(via_list, tree, cam, /*cull=*/true);
-  expect_identical(via_tree.framebuffer(), via_list.framebuffer(), "draw_tree vs draw_list");
-}
-
 TEST(RenderListCull, OutOfFrustumVolumeCastsNoRays) {
   SceneTree tree;
   tree.add_child(scene::kRootNode, "behind", ball_grid(16),

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <numeric>
 #include <thread>
@@ -176,8 +177,6 @@ TEST(Reactor, EchoAndTraceRoundTripOverEventLoop) {
   });
   ASSERT_TRUE(listener.ok()) << listener.error();
 
-  // tcp_connect honors RAVE_NET, so under the legacy lane this exercises a
-  // legacy client against a reactor server — the wire format must agree.
   auto dialed = tcp_connect("127.0.0.1", listener.value()->port());
   ChannelPtr client = dialed.ok() ? std::move(dialed).take() : nullptr;
   ASSERT_NE(client, nullptr);
@@ -235,6 +234,55 @@ TEST(Reactor, ReceiveErrorsDistinguishTimeoutFromPeerClose) {
   client->close();
 }
 
+// The one bound on untrusted wire input: a frame length beyond 1 GiB is
+// corruption, so the reactor drops the connection instead of allocating.
+TEST(Reactor, OversizedFrameLengthFailsTheChannel) {
+  std::mutex mu;
+  std::condition_variable cv;
+  ChannelPtr server;
+  auto listener = Reactor::global().listen(0, [&](ChannelPtr accepted) {
+    std::lock_guard lock(mu);
+    server = std::move(accepted);
+    cv.notify_all();
+  });
+  ASSERT_TRUE(listener.ok()) << listener.error();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const timeval five_seconds{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &five_seconds, sizeof(five_seconds));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener.value()->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5), [&] { return server != nullptr; }));
+  }
+
+  // A bare 6-byte header declaring one byte more than the 1 GiB limit.
+  const uint32_t len = (1u << 30) + 1;
+  const uint8_t header[6] = {static_cast<uint8_t>(len),       static_cast<uint8_t>(len >> 8),
+                             static_cast<uint8_t>(len >> 16), static_cast<uint8_t>(len >> 24),
+                             0x42,                            0x01};
+  ASSERT_EQ(::send(fd, header, sizeof(header), MSG_NOSIGNAL), static_cast<ssize_t>(sizeof(header)));
+
+  auto got = server->receive_result(5.0);
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.error().find("malformed frame"), std::string::npos) << got.error();
+  EXPECT_EQ(got.error().find("timed out"), std::string::npos) << got.error();
+  EXPECT_FALSE(server->is_open());
+  EXPECT_FALSE(server->send(Message(1, {1})).ok());
+  // The raw peer sees the connection closed, not left hanging.
+  uint8_t byte = 0;
+  errno = 0;
+  const ssize_t r = ::recv(fd, &byte, 1, 0);
+  EXPECT_TRUE(r == 0 || (r < 0 && errno == ECONNRESET)) << "recv " << r << ", errno " << errno;
+  ::close(fd);
+  server->close();
+}
+
 TEST(Reactor, WireBytesIdenticalToLegacyFraming) {
   RawPeer peer;
   peer.start();
@@ -280,9 +328,6 @@ TEST(Reactor, TraceAndHlcCoexistOverEventLoop) {
     cv.notify_all();
   });
   ASSERT_TRUE(listener.ok()) << listener.error();
-  // tcp_connect honors RAVE_NET: under the legacy lane this sends a
-  // trace+HLC header from the legacy engine to a reactor server — both
-  // optional headers must agree across engines, in order (trace, HLC).
   auto dialed = tcp_connect("127.0.0.1", listener.value()->port());
   ChannelPtr client = dialed.ok() ? std::move(dialed).take() : nullptr;
   ASSERT_NE(client, nullptr);

@@ -8,6 +8,7 @@
 #include "render/framebuffer.hpp"
 #include "render/rasterizer.hpp"
 #include "render/raycast.hpp"
+#include "render/render_list.hpp"
 #include "scene/camera.hpp"
 
 namespace rave::render {
@@ -150,7 +151,7 @@ TEST(Rasterizer, TilesMatchFullFrameExactly) {
     opts.region = tile;
     Rasterizer raster(80, 60);
     raster.clear(opts);
-    raster.draw_tree(tree, cam, opts);
+    raster.draw_list(build_render_list(tree, cam, 80.0f / 60.0f), cam, opts);
     assembled.insert(tile, raster.framebuffer().extract(tile));
   }
   EXPECT_EQ(assembled.color(), full.color());
@@ -260,7 +261,7 @@ TEST(Raycast, VolumeVisibleAndOccludedByGeometry) {
   tree.add_child(scene::kRootNode, "vol", grid);
   FrameBuffer fb(48, 48);
   fb.clear({0, 0, 0});
-  raycast_tree_volumes(fb, tree, front_camera());
+  raycast_list(fb, build_render_list(tree, front_camera(), 1.0f), front_camera());
   EXPECT_GT(static_cast<int>(fb.pixel(24, 24)[0]) + fb.pixel(24, 24)[1] + fb.pixel(24, 24)[2],
             60);
 
@@ -272,7 +273,7 @@ TEST(Raycast, VolumeVisibleAndOccludedByGeometry) {
                       util::Mat4::translate({0, 0, 2.0f}));
   FrameBuffer occluded = render_tree(with_wall, front_camera(), 48, 48);
   const auto before = occluded.pixel(24, 24)[0];
-  raycast_tree_volumes(occluded, with_wall, front_camera());
+  raycast_list(occluded, build_render_list(with_wall, front_camera(), 1.0f), front_camera());
   EXPECT_EQ(occluded.pixel(24, 24)[0], before);  // wall unchanged
 }
 

@@ -6,6 +6,7 @@
 #include "mesh/fields.hpp"
 #include "render/raycast.hpp"
 #include "render/rasterizer.hpp"
+#include "render/render_list.hpp"
 #include "scene/volume.hpp"
 
 namespace rave::scene {
@@ -103,8 +104,8 @@ TEST(VolumeRender, BlockCompositeMatchesMonolithic) {
   render::FrameBuffer a(64, 64), b(64, 64);
   a.clear({0, 0, 0});
   b.clear({0, 0, 0});
-  render::raycast_tree_volumes(a, mono, cam);
-  render::raycast_tree_volumes(b, split, cam);
+  render::raycast_list(a, render::build_render_list(mono, cam, 1.0f), cam);
+  render::raycast_list(b, render::build_render_list(split, cam, 1.0f), cam);
 
   // Compare mean intensity: within a few percent.
   auto mean = [](const render::FrameBuffer& fb) {

@@ -1,8 +1,8 @@
 // PDA thin client (paper §3.1.3 / §5.1): full discovery flow — find the
 // render service through the UDDI registry, obtain its client endpoint via
-// SOAP, then stream frames over a simulated 11 Mbit/s wireless link with
-// adaptive compression reacting to the bandwidth. Prints the per-frame
-// latency breakdown Table 2 reports.
+// SOAP, then pull frames over a simulated 11 Mbit/s wireless link as
+// tiled stream frames (RLE tiles, unchanged tiles as refs). Prints the
+// per-frame latency breakdown Table 2 reports.
 #include <cstdio>
 
 #include "core/grid.hpp"
@@ -71,9 +71,10 @@ int main() {
                 compress::codec_name(s.codec));
   }
   std::printf(
-      "\nAdaptive compression: the first frame ships a keyframe; subsequent\n"
-      "frames use delta/RLE coding, so the wireless link sustains rates the\n"
-      "paper's uncompressed stream (max 5 fps at 200x200) could not.\n");
+      "\nTiled delivery: the first frame ships every tile; later frames ship\n"
+      "changed tiles RLE-coded and the rest as refs, so the wireless link\n"
+      "sustains rates the paper's uncompressed stream (max 5 fps at 200x200)\n"
+      "could not.\n");
 
   // Presentation: the Zaurus display is 640x480, so the received 200x200
   // frame is upscaled client-side for display (paper §5.1 notes the frames

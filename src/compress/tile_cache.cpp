@@ -24,6 +24,7 @@ const char* quality_name(QualityClass quality) {
   switch (quality) {
     case QualityClass::Workstation: return "workstation";
     case QualityClass::Pda: return "pda";
+    case QualityClass::Raw: return "raw";
   }
   return "?";
 }
@@ -32,6 +33,7 @@ CodecKind codec_for_quality(QualityClass quality) {
   switch (quality) {
     case QualityClass::Workstation: return CodecKind::Rle;
     case QualityClass::Pda: return CodecKind::Quantize;
+    case QualityClass::Raw: return CodecKind::Raw;
   }
   return CodecKind::Rle;
 }

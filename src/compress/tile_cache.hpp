@@ -32,8 +32,9 @@ namespace rave::compress {
 enum class QualityClass : uint8_t {
   Workstation = 0,  // lossless RLE
   Pda = 1,          // RGB565 quantization (2 B/pixel bound on wireless)
+  Raw = 2,          // uncompressed 24 bpp, as the paper's PDA timings (§5.1)
 };
-inline constexpr size_t kQualityClassCount = 2;
+inline constexpr size_t kQualityClassCount = 3;
 
 const char* quality_name(QualityClass quality);
 CodecKind codec_for_quality(QualityClass quality);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -17,8 +18,6 @@ using util::make_error;
 using util::Result;
 
 namespace {
-
-constexpr QualityClass kAllClasses[] = {QualityClass::Workstation, QualityClass::Pda};
 
 void account_tiles(uint64_t refs, uint64_t datas, uint64_t ref_bytes, uint64_t data_bytes) {
   auto& reg = obs::MetricsRegistry::global();
@@ -57,6 +56,18 @@ std::string format_seconds(double seconds) {
   return buf;
 }
 
+FrameStreamPublisher::FramePtr tile_frame(const Image& frame, int tile_size) {
+  auto tiled = std::make_shared<FrameStreamPublisher::TiledFrame>();
+  tiled->width = frame.width;
+  tiled->height = frame.height;
+  tiled->tiles = render::tile_grid(frame.width, frame.height, tile_size);
+  tiled->hashes = render::hash_tiles(frame, tiled->tiles);
+  tiled->pixels.reserve(tiled->tiles.size());
+  for (const render::Tile& t : tiled->tiles) tiled->pixels.push_back(frame.extract(t));
+  tiled->frame_hash = render::hash_image(frame);
+  return tiled;
+}
+
 }  // namespace
 
 FrameStreamPublisher::FrameStreamPublisher(FrameStreamOptions options)
@@ -68,7 +79,7 @@ net::FanoutHub::SubscriberId FrameStreamPublisher::subscribe(net::ChannelPtr cha
   const auto id = s.hub.subscribe(std::move(channel));
   // Newcomers must not resolve references against tiles they never saw:
   // the next frame of this class ships everything as data.
-  s.force_keyframe = true;
+  s.last.reset();
   return id;
 }
 
@@ -86,119 +97,123 @@ size_t FrameStreamPublisher::subscriber_count() const {
   return total;
 }
 
-FrameStreamPublisher::FrameReport FrameStreamPublisher::publish_frame(const Image& frame) {
-  FrameReport report;
-  report.frame_id = next_frame_id_++;
-  // Root the frame's delivery trace. The root span becomes the thread's
-  // current context, so stamp_trace() below puts it on every stream
-  // message — relay hops, reactor queue-wait, and subscriber decode and
-  // assemble spans all stitch under this one timeline.
-  obs::Tracer& tracer = obs::Tracer::global();
-  obs::ScopedSpan frame_span = obs::ScopedSpan::root(
-      "publish_frame",
-      obs::Tracer::current_host().empty() ? "publisher" : obs::Tracer::current_host());
-  if (frame_span.active()) report.trace_id = frame_span.context().trace_id;
-  std::vector<render::Tile> tiles = render::tile_grid(frame.width, frame.height,
-                                                      options_.tile_size);
-  const std::vector<uint64_t> hashes = render::hash_tiles(frame, tiles);
-  const uint64_t frame_hash = render::hash_image(frame);
+void FrameStreamPublisher::ship(const FramePtr& frame, FrameBeginMsg begin, FramePtr& last,
+                                const std::function<void(net::Message)>& send,
+                                FrameReport& report) {
+  const double start = obs::Tracer::global().now();
+  const TiledFrame& f = *frame;
+  const TiledFrame* prev = last.get();
+  const bool keyframe = prev == nullptr || prev->width != f.width || prev->height != f.height;
+  const size_t count = f.tiles.size();
 
-  // Each changed tile's pixels are extracted once and shared by every
-  // class that needs to encode it.
-  std::vector<Image> extracted(tiles.size());
-  std::vector<bool> have_extracted(tiles.size(), false);
+  begin.width = f.width;
+  begin.height = f.height;
+  begin.tile_size = static_cast<uint16_t>(options_.tile_size);
+  begin.tile_count = static_cast<uint16_t>(count);
+  begin.publish_time = start;
+  net::Message begin_msg = encode(begin);
+  stamp_trace(begin_msg);
+  send(std::move(begin_msg));
 
-  for (QualityClass quality : kAllClasses) {
-    Stream& s = stream(quality);
-    if (s.hub.subscriber_count() == 0) continue;
-    ++report.classes_published;
-    const double class_start = tracer.now();
-    const bool keyframe = s.force_keyframe || s.prev_width != frame.width ||
-                          s.prev_height != frame.height ||
-                          s.prev_hashes.size() != tiles.size();
-
-    FrameBeginMsg begin;
-    begin.frame_id = report.frame_id;
-    begin.width = frame.width;
-    begin.height = frame.height;
-    begin.tile_size = static_cast<uint16_t>(options_.tile_size);
-    begin.tile_count = static_cast<uint16_t>(tiles.size());
-    begin.quality = quality;
-    begin.publish_time = class_start;
-    net::Message begin_msg = encode(begin);
-    stamp_trace(begin_msg);
-    s.hub.publish(begin_msg);
-
-    for (size_t i = 0; i < tiles.size(); ++i) {
-      ++report.tiles_total;
-      if (!keyframe && hashes[i] == s.prev_hashes[i]) {
-        net::Message msg = encode(
-            TileRefMsg{report.frame_id, static_cast<uint16_t>(i), hashes[i]});
-        stamp_trace(msg);
-        s.hub.publish(msg);
-        ++report.tiles_ref;
-        report.ref_bytes += msg.wire_size();
-      } else {
-        if (!have_extracted[i]) {
-          extracted[i] = frame.extract(tiles[i]);
-          have_extracted[i] = true;
-        }
-        // The serialized tile rides as a shared Buffer tail: one encode +
-        // serialize per (content, class), a refcount bump per subscriber,
-        // and a scatter-gather write at the socket — never another copy.
-        net::Message msg =
-            encode_tile_data(report.frame_id, static_cast<uint16_t>(i), tiles[i], hashes[i],
-                             memo_.encode_serialized(hashes[i], quality, extracted[i]));
-        stamp_trace(msg);
-        s.hub.publish(msg);
-        ++report.tiles_data;
-        report.data_bytes += msg.wire_size();
-      }
-    }
-
-    net::Message end_msg = encode(
-        FrameEndMsg{report.frame_id, static_cast<uint16_t>(tiles.size()), frame_hash});
-    stamp_trace(end_msg);
-    s.hub.publish(end_msg);
-    delivery_histogram(quality, "publish").observe(tracer.now() - class_start);
-    s.prev_hashes = hashes;
-    s.prev_width = frame.width;
-    s.prev_height = frame.height;
-    s.force_keyframe = false;
+  for (size_t i = 0; i < count; ++i) {
+    const auto index = static_cast<uint16_t>(i);
+    const bool ref = !keyframe && f.hashes[i] == prev->hashes[i];
+    // A changed tile's serialized form rides as a shared Buffer tail: one
+    // encode + serialize per (content, class), a refcount bump per
+    // subscriber, and a scatter-gather write at the socket — never
+    // another copy.
+    net::Message msg =
+        ref ? encode(TileRefMsg{begin.frame_id, index, f.hashes[i]})
+            : encode_tile_data(begin.frame_id, index, f.tiles[i], f.hashes[i],
+                               memo_.encode_serialized(f.hashes[i], begin.quality, f.pixels[i]));
+    stamp_trace(msg);
+    (ref ? report.tiles_ref : report.tiles_data) += 1;
+    (ref ? report.ref_bytes : report.data_bytes) += msg.wire_size();
+    send(std::move(msg));
   }
+  report.tiles_total += count;
 
-  last_frame_ = frame;
-  last_tiles_ = std::move(tiles);
-  last_hashes_ = hashes;
+  net::Message end_msg =
+      encode(FrameEndMsg{begin.frame_id, static_cast<uint16_t>(count), f.frame_hash});
+  stamp_trace(end_msg);
+  send(std::move(end_msg));
+  delivery_histogram(begin.quality, "publish").observe(obs::Tracer::global().now() - start);
+  last = frame;
+}
 
+void FrameStreamPublisher::account(const FrameReport& report) {
   if (report.classes_published > 0) ++stats_.frames;
   stats_.tiles_ref += report.tiles_ref;
   stats_.tiles_data += report.tiles_data;
   stats_.ref_bytes += report.ref_bytes;
   stats_.data_bytes += report.data_bytes;
   account_tiles(report.tiles_ref, report.tiles_data, report.ref_bytes, report.data_bytes);
+}
+
+FrameStreamPublisher::FrameReport FrameStreamPublisher::publish_frame(const Image& frame) {
+  FrameReport report;
+  report.frame_id = next_frame_id_++;
+  // Root the frame's delivery trace. The root span becomes the thread's
+  // current context, so ship() stamps it on every stream message — relay
+  // hops, reactor queue-wait, and subscriber decode and assemble spans all
+  // stitch under this one timeline.
+  obs::ScopedSpan frame_span = obs::ScopedSpan::root(
+      "publish_frame",
+      obs::Tracer::current_host().empty() ? "publisher" : obs::Tracer::current_host());
+  if (frame_span.active()) report.trace_id = frame_span.context().trace_id;
+  last_published_ = tile_frame(frame, options_.tile_size);
+
+  for (size_t q = 0; q < streams_.size(); ++q) {
+    Stream& s = streams_[q];
+    if (s.hub.subscriber_count() == 0) continue;
+    ++report.classes_published;
+    FrameBeginMsg begin;
+    begin.frame_id = report.frame_id;
+    begin.quality = static_cast<QualityClass>(q);
+    ship(last_published_, begin, s.last, [&s](net::Message msg) { s.hub.publish(msg); },
+         report);
+  }
+  account(report);
   return report;
 }
 
-std::optional<net::Message> FrameStreamPublisher::make_miss_reply(const TileMissMsg& miss) {
-  // The fast path: the index the subscriber saw still addresses the same
+FrameStreamPublisher::FrameReport FrameStreamPublisher::answer_pull(
+    const Image& frame, const FrameRequest& request, double render_seconds,
+    net::Channel& channel, FramePtr& last) {
+  FrameReport report;
+  report.frame_id = request.request_id;
+  report.classes_published = 1;
+  FrameBeginMsg begin;
+  begin.frame_id = request.request_id;
+  begin.quality = request.quality;
+  begin.render_seconds = render_seconds;
+  ship(tile_frame(frame, options_.tile_size), begin, last,
+       [&channel](net::Message msg) { (void)channel.send(std::move(msg)); }, report);
+  account(report);
+  return report;
+}
+
+std::optional<net::Message> FrameStreamPublisher::make_miss_reply(const TileMissMsg& miss,
+                                                                  const FramePtr& pulled) {
+  const FramePtr& source = pulled ? pulled : last_published_;
+  // The fast path: the index the receiver saw still addresses the same
   // content. Otherwise search — content moved or the miss is stale.
-  size_t index = last_hashes_.size();
-  if (miss.tile_index < last_hashes_.size() && last_hashes_[miss.tile_index] == miss.hash) {
-    index = miss.tile_index;
-  } else {
-    const auto found = std::find(last_hashes_.begin(), last_hashes_.end(), miss.hash);
-    index = static_cast<size_t>(found - last_hashes_.begin());
+  size_t index = 0;
+  if (source) {
+    const std::vector<uint64_t>& hashes = source->hashes;
+    index = miss.tile_index < hashes.size() && hashes[miss.tile_index] == miss.hash
+                ? miss.tile_index
+                : static_cast<size_t>(std::find(hashes.begin(), hashes.end(), miss.hash) -
+                                      hashes.begin());
   }
-  if (index >= last_hashes_.size()) {
+  if (!source || index >= source->hashes.size()) {
     ++stats_.miss_unresolved;
     return std::nullopt;  // content changed since; next frame supersedes it
   }
-  const Image tile_pixels = last_frame_.extract(last_tiles_[index]);
-  net::Buffer encoded = memo_.encode_serialized(miss.hash, miss.quality, tile_pixels);
+  net::Buffer encoded = memo_.encode_serialized(miss.hash, miss.quality, source->pixels[index]);
   ++stats_.miss_replies;
   obs::MetricsRegistry::global().counter("rave_fanout_miss_replies_total").inc();
-  return encode_tile_data(miss.frame_id, miss.tile_index, last_tiles_[index], miss.hash,
+  return encode_tile_data(miss.frame_id, miss.tile_index, source->tiles[index], miss.hash,
                           std::move(encoded));
 }
 
@@ -303,6 +318,11 @@ void FrameStreamReceiver::handle(const net::Message& msg) {
       assembly_.have_end = true;
       return;
     }
+    case kMsgRefusal: {
+      const auto refusal = decode_refusal(msg);
+      refusal_ = refusal.ok() ? refusal.value().reason : "refused";
+      return;
+    }
     default:
       return;  // interleaved non-stream traffic (acks etc.)
   }
@@ -381,10 +401,12 @@ Result<Image> FrameStreamReceiver::next_frame(util::Clock& clock, double timeout
       }
       observe_completion();
       ++stats_.frames_completed;
+      last_header_ = assembly_.begin;
       Image out = std::move(assembly_.image);
       assembly_ = Assembly{};
       return out;
     }
+    if (refusal_) return make_error(*std::exchange(refusal_, std::nullopt));
     if (!channel_->is_open()) return make_error("frame stream: channel closed");
     if (clock.now() >= deadline) return make_error("frame stream: timed out");
   }

@@ -1,14 +1,15 @@
-// Cached frame streaming — the fan-out tier that makes frame delivery
-// cost proportional to *change* and *distinct quality classes* instead of
-// subscriber count (ROADMAP "frame fan-out tree with tile-level caching";
-// the cache-between-source-and-viewer topology of arXiv:1801.09504).
+// Cached frame streaming — the one frame delivery protocol, and the
+// fan-out tier that makes delivery cost proportional to *change* and
+// *distinct quality classes* instead of subscriber count (the
+// cache-between-source-and-viewer topology of arXiv:1801.09504).
 //
 // A FrameStreamPublisher splits each composited frame into a fixed tile
-// grid, content-hashes every tile (render::hash_tile), and publishes per
-// quality class: a tile whose hash matches the previous frame ships as a
-// 14-byte TileRef; a changed tile is encoded once per class through the
-// EncodeMemo and ships as TileData to the whole class at once. Subscribers
-// (FrameStreamReceiver) resolve refs from a per-session TileStore of
+// grid, content-hashes every tile (render::hash_tile), and ships it to a
+// class's hub (every subscriber, one frame per publish) or to one pulling
+// client (one frame per FrameRequest): a tile whose hash matches what that
+// destination last received ships as a 14-byte TileRef; a changed tile is
+// encoded once per class through the EncodeMemo and ships as TileData.
+// Receivers (FrameStreamReceiver) resolve refs from a TileStore of
 // decoded tiles; a store miss falls back to a TileMiss round-trip answered
 // with the full tile, so assembled frames are byte-identical to full
 // delivery no matter what the caches held. RelayTileCache teaches a
@@ -17,6 +18,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <list>
 #include <memory>
 #include <optional>
@@ -47,7 +49,7 @@ class FrameStreamPublisher {
  public:
   struct FrameReport {
     uint32_t frame_id = 0;
-    size_t tiles_total = 0;   // per published class stream, summed
+    size_t tiles_total = 0;   // per destination shipped to, summed
     size_t tiles_ref = 0;     // shipped as references
     size_t tiles_data = 0;    // shipped with pixels
     uint64_t ref_bytes = 0;   // wire bytes of the reference messages
@@ -66,6 +68,19 @@ class FrameStreamPublisher {
     uint64_t miss_unresolved = 0;     // hash no longer present (stale miss)
   };
 
+  // A frame cut into the tile grid, hashed and split into tile pixels
+  // once: what ships, then what misses against it are answered from.
+  // Every destination it shipped to shares it as its `last` frame, the
+  // one its TileRefs resolve against (null forces a keyframe).
+  struct TiledFrame {
+    int width = 0, height = 0;
+    std::vector<render::Tile> tiles;
+    std::vector<uint64_t> hashes;       // render::hash_tile per tile
+    std::vector<render::Image> pixels;  // per tile
+    uint64_t frame_hash = 0;            // render::hash_image of the frame
+  };
+  using FramePtr = std::shared_ptr<const TiledFrame>;
+
   explicit FrameStreamPublisher(FrameStreamOptions options = {});
 
   // Subscribe a downstream channel (a client, or a relay's upstream end)
@@ -82,15 +97,22 @@ class FrameStreamPublisher {
   // (changed tile, class) thanks to the memo.
   FrameReport publish_frame(const render::Image& frame);
 
+  // Answer one pull with a single stream frame on `channel`: frame_id is
+  // the request id, the FrameBegin carries `render_seconds`, and refs
+  // resolve against `last`, that client's previous pull.
+  FrameReport answer_pull(const render::Image& frame, const FrameRequest& request,
+                          double render_seconds, net::Channel& channel, FramePtr& last);
+
   // Serve pending TileMiss requests arriving on the hubs' reverse path
   // and drop closed subscribers. Returns messages handled.
   size_t pump();
 
-  // Build the TileData reply for a miss against the last published frame,
-  // or nullopt if the hash is no longer current (the content changed
-  // since — the subscriber will pick the new content up next frame).
-  std::optional<net::Message> make_miss_reply(const TileMissMsg& miss);
-
+  // Build the TileData reply for a miss from `source` (what the asking
+  // receiver last got: a client's last pull, or by default the last
+  // published frame), or nullopt if the hash is not in it (the content
+  // changed since — the receiver picks the new content up next frame).
+  std::optional<net::Message> make_miss_reply(const TileMissMsg& miss,
+                                              const FramePtr& source = nullptr);
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const compress::EncodeMemo& memo() const { return memo_; }
   [[nodiscard]] const FrameStreamOptions& options() const { return options_; }
@@ -98,23 +120,27 @@ class FrameStreamPublisher {
  private:
   struct Stream {
     net::FanoutHub hub;
-    std::vector<uint64_t> prev_hashes;
-    int prev_width = 0, prev_height = 0;
-    bool force_keyframe = true;
+    FramePtr last;
   };
 
   Stream& stream(compress::QualityClass quality) {
     return streams_[static_cast<size_t>(quality)];
   }
 
+  // The one tile loop: FrameBegin, then per tile a TileRef when `last`
+  // holds the same content at the same place, else the memo-encoded
+  // TileData, then FrameEnd — all through `send`, stamped with the calling
+  // thread's trace context (the frame's root span for a publish, the
+  // request's serve span for a pull). `last` becomes `frame`.
+  void ship(const FramePtr& frame, FrameBeginMsg begin, FramePtr& last,
+            const std::function<void(net::Message)>& send, FrameReport& report);
+  void account(const FrameReport& report);
+
   FrameStreamOptions options_;
   std::array<Stream, compress::kQualityClassCount> streams_;
   compress::EncodeMemo memo_;
   uint32_t next_frame_id_ = 1;
-  // Miss-fallback source: the last published frame's grid and hashes.
-  render::Image last_frame_;
-  std::vector<render::Tile> last_tiles_;
-  std::vector<uint64_t> last_hashes_;
+  FramePtr last_published_;
   Stats stats_;
 };
 
@@ -134,12 +160,14 @@ class FrameStreamReceiver {
                       FrameStreamOptions options = {});
 
   // Pump the channel until one complete frame assembles (miss fallbacks
-  // included) or the deadline passes. `pump` drives the in-process grid
-  // between receives, exactly like ThinClient::request_frame.
+  // included), a Refusal arrives (its reason is the error) or the deadline
+  // passes. `pump` drives the in-process grid between receives.
   util::Result<render::Image> next_frame(util::Clock& clock, double timeout_seconds,
                                          const std::function<void()>& pump = {});
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
+  // FrameBegin of the most recent completed frame.
+  [[nodiscard]] const FrameBeginMsg& last_header() const { return last_header_; }
   [[nodiscard]] const compress::TileStore& store() const { return store_; }
   [[nodiscard]] compress::QualityClass quality() const { return quality_; }
   // Publish→deliver age of the most recent completed frame (seconds);
@@ -185,6 +213,8 @@ class FrameStreamReceiver {
   FrameStreamOptions options_;
   compress::TileStore store_;
   Assembly assembly_;
+  std::optional<std::string> refusal_;  // a Refusal arrived: next_frame's error
+  FrameBeginMsg last_header_;
   Stats stats_;
   double last_frame_age_ = -1;
 };

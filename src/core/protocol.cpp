@@ -25,6 +25,12 @@ void write_tile(ByteWriter& w, const render::Tile& t) {
   w.i32(t.height);
 }
 
+// Quality codes index per-class state (publisher streams), so an unknown
+// code fails the decode.
+bool known_quality(compress::QualityClass quality) {
+  return static_cast<size_t>(quality) < compress::kQualityClassCount;
+}
+
 render::Tile read_tile(ByteReader& r) {
   render::Tile t;
   t.x = r.i32();
@@ -198,8 +204,8 @@ net::Message encode(const FrameRequest& m) {
   scene::write_camera(w, m.camera);
   w.i32(m.width);
   w.i32(m.height);
-  w.boolean(m.allow_compression);
-  w.u64(m.request_id);
+  w.u8(static_cast<uint8_t>(m.quality));
+  w.u32(m.request_id);
   return finish(kMsgFrameRequest, w);
 }
 
@@ -211,29 +217,10 @@ Result<FrameRequest> decode_frame_request(const net::Message& msg) {
   out.camera = scene::read_camera(r);
   out.width = r.i32();
   out.height = r.i32();
-  out.allow_compression = r.boolean();
-  out.request_id = r.u64();
-  if (!r.ok()) return make_error("protocol: truncated frame request");
-  return out;
-}
-
-net::Message encode(const FrameMsg& m) {
-  ByteWriter w;
-  w.u64(m.request_id);
-  w.f64(m.render_seconds);
-  w.bytes(m.encoded_image);
-  return finish(kMsgFrame, w);
-}
-
-Result<FrameMsg> decode_frame(const net::Message& msg) {
-  auto reader = open(msg, kMsgFrame);
-  if (!reader.ok()) return make_error(reader.error());
-  ByteReader& r = reader.value();
-  FrameMsg out;
-  out.request_id = r.u64();
-  out.render_seconds = r.f64();
-  out.encoded_image = r.bytes();
-  if (!r.ok()) return make_error("protocol: truncated frame");
+  out.quality = static_cast<compress::QualityClass>(r.u8());
+  out.request_id = r.u32();
+  if (!r.ok() || !known_quality(out.quality))
+    return make_error("protocol: truncated frame request or unknown quality class");
   return out;
 }
 
@@ -376,7 +363,8 @@ Result<StreamSubscribeMsg> decode_stream_subscribe(const net::Message& msg) {
   StreamSubscribeMsg out;
   out.session = r.str();
   out.quality = static_cast<compress::QualityClass>(r.u8());
-  if (!r.ok()) return make_error("protocol: truncated stream subscribe");
+  if (!r.ok() || !known_quality(out.quality))
+    return make_error("protocol: truncated stream subscribe or unknown quality class");
   return out;
 }
 
@@ -389,6 +377,7 @@ net::Message encode(const FrameBeginMsg& m) {
   w.u16(m.tile_count);
   w.u8(static_cast<uint8_t>(m.quality));
   w.f64(m.publish_time);
+  if (m.render_seconds) w.f64(*m.render_seconds);
   return finish(kMsgFrameBegin, w);
 }
 
@@ -404,7 +393,9 @@ Result<FrameBeginMsg> decode_frame_begin(const net::Message& msg) {
   out.tile_count = r.u16();
   out.quality = static_cast<compress::QualityClass>(r.u8());
   out.publish_time = r.f64();
-  if (!r.ok()) return make_error("protocol: truncated frame begin");
+  if (r.remaining() >= sizeof(double)) out.render_seconds = r.f64();
+  if (!r.ok() || !known_quality(out.quality))
+    return make_error("protocol: truncated frame begin or unknown quality class");
   return out;
 }
 
@@ -501,7 +492,8 @@ Result<TileMissMsg> decode_tile_miss(const net::Message& msg) {
   out.frame_id = r.u32();
   out.tile_index = r.u16();
   out.quality = static_cast<compress::QualityClass>(r.u8());
-  if (!r.ok()) return make_error("protocol: truncated tile miss");
+  if (!r.ok() || !known_quality(out.quality))
+    return make_error("protocol: truncated tile miss or unknown quality class");
   return out;
 }
 

@@ -29,8 +29,7 @@ enum MsgType : uint16_t {
   kMsgInterestSet = 0x0104,    // data → render service: assigned node subset
   kMsgRefusal = 0x0105,        // data → subscriber: request refused, with reason
   kMsgLoadReport = 0x0106,     // render service → data: smoothed fps etc.
-  kMsgFrameRequest = 0x0110,   // thin client → render service
-  kMsgFrame = 0x0111,          // render service → thin client
+  kMsgFrameRequest = 0x0110,   // thin client → render service: one stream frame back
   kMsgClientUpdate = 0x0112,   // thin client → render service (forwarded to data)
   kMsgAvatarAck = 0x0113,      // render service → thin client: avatar node id
   kMsgTileAssign = 0x0120,     // render service → assisting render service
@@ -38,9 +37,10 @@ enum MsgType : uint16_t {
   kMsgAssistRequest = 0x0122,  // render service → data: need tile help
   kMsgAssistGrant = 0x0123,    // data → render service: assistant access points
   kMsgSubsetFrame = 0x0124,    // subset renderer → compositing service: frame+depth
-  // Cached frame streaming (fan-out tier). A stream frame is FrameBegin,
-  // then one TileRef or TileData per tile, then FrameEnd; TileMiss is the
-  // subscriber's cache-miss fallback, answered with a TileData.
+  // Cached frame streaming, the one frame delivery protocol. A stream frame
+  // is FrameBegin, then one TileRef or TileData per tile, then FrameEnd;
+  // TileMiss is the receiver's cache-miss fallback, answered with a
+  // TileData. A subscriber gets a frame per publish, a FrameRequest one.
   kMsgStreamSubscribe = 0x0130,  // client → render service: join the cached stream
   kMsgFrameBegin = 0x0131,       // publisher → subscribers: frame header
   kMsgTileRef = 0x0132,          // publisher → subscribers: unchanged tile, by hash
@@ -102,17 +102,14 @@ struct LoadReportMsg {
   std::vector<std::pair<scene::NodeId, uint64_t>> node_rays;
 };
 
+// A pull: the render service answers with one stream frame (FrameBegin,
+// TileRef/TileData per tile, FrameEnd) on the requesting channel, with
+// frame_id = request_id so a late reply to an earlier request is dropped.
 struct FrameRequest {
   scene::Camera camera;
   int width = 200, height = 200;
-  bool allow_compression = true;
-  uint64_t request_id = 0;
-};
-
-struct FrameMsg {
-  uint64_t request_id = 0;
-  std::vector<uint8_t> encoded_image;  // compress::EncodedImage::serialize()
-  double render_seconds = 0;
+  compress::QualityClass quality = compress::QualityClass::Workstation;
+  uint32_t request_id = 0;
 };
 
 struct ClientUpdateMsg {
@@ -166,6 +163,10 @@ struct FrameBeginMsg {
   // frame's age at completion — the staleness a drop-oldest shed schedule
   // actually cost the subscriber (rave_stream_frame_age_seconds).
   double publish_time = 0;
+  // Trailing field only a pull reply carries: the service's render time
+  // for the requester's frame stats. Absent on subscribed streams, which
+  // keeps their wire bytes unchanged.
+  std::optional<double> render_seconds;
 };
 
 // The ~16-byte message an unchanged tile ships as: 14 payload bytes
@@ -207,7 +208,6 @@ net::Message encode(const InterestSetMsg& m);
 net::Message encode(const RefusalMsg& m);
 net::Message encode(const LoadReportMsg& m);
 net::Message encode(const FrameRequest& m);
-net::Message encode(const FrameMsg& m);
 net::Message encode(const ClientUpdateMsg& m);
 net::Message encode(const AvatarAckMsg& m);
 net::Message encode(const TileAssignMsg& m);
@@ -236,7 +236,6 @@ util::Result<InterestSetMsg> decode_interest_set(const net::Message& msg);
 util::Result<RefusalMsg> decode_refusal(const net::Message& msg);
 util::Result<LoadReportMsg> decode_load_report(const net::Message& msg);
 util::Result<FrameRequest> decode_frame_request(const net::Message& msg);
-util::Result<FrameMsg> decode_frame(const net::Message& msg);
 util::Result<ClientUpdateMsg> decode_client_update(const net::Message& msg);
 util::Result<AvatarAckMsg> decode_avatar_ack(const net::Message& msg);
 util::Result<TileAssignMsg> decode_tile_assign(const net::Message& msg);

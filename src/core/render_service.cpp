@@ -87,7 +87,7 @@ size_t RenderService::pump() {
   // its host label.
   obs::Tracer::set_current_host(options_.profile.name);
   for (net::ChannelPtr& channel : client_inbox_.take())
-    clients_.push_back(std::make_unique<Client>(std::move(channel), options_.codec));
+    clients_.push_back(std::make_unique<Client>(std::move(channel)));
   for (net::ChannelPtr& channel : peer_inbox_.take()) peer_channels_.push_back(std::move(channel));
   size_t handled = 0;
   for (auto& [name, replica] : replicas_) handled += pump_replica(replica);
@@ -202,6 +202,17 @@ size_t RenderService::pump_replica(Replica& replica) {
 
 size_t RenderService::pump_clients() {
   size_t handled = 0;
+  // Bind a client to a session and ack, or refuse; nullptr when refused.
+  const auto join = [this](Client& client, const std::string& session) -> Replica* {
+    Replica* replica = find_replica(session);
+    if (replica == nullptr) {
+      (void)client.channel->send(encode(RefusalMsg{"render service has no session " + session}));
+      return nullptr;
+    }
+    client.session = session;
+    (void)client.channel->send(encode(SubscribeAck{replica->subscriber_id, session, 0}));
+    return replica;
+  };
   for (auto& client : clients_) {
     for (;;) {
       auto msg = client->channel->try_receive();
@@ -210,19 +221,7 @@ size_t RenderService::pump_clients() {
       switch (msg->type) {
         case kMsgSubscribe: {
           auto request = decode_subscribe(*msg);
-          if (!request.ok()) break;
-          Replica* replica = find_replica(request.value().session);
-          if (replica == nullptr) {
-            (void)client->channel->send(encode(
-                RefusalMsg{"render service has no session " + request.value().session}));
-            break;
-          }
-          client->session = request.value().session;
-          client->subscribed = true;
-          SubscribeAck ack;
-          ack.client_id = replica->subscriber_id;
-          ack.session = client->session;
-          (void)client->channel->send(encode(ack));
+          if (request.ok()) (void)join(*client, request.value().session);
           break;
         }
         case kMsgFrameRequest: {
@@ -233,32 +232,22 @@ size_t RenderService::pump_clients() {
         case kMsgStreamSubscribe: {
           auto request = decode_stream_subscribe(*msg);
           if (!request.ok()) break;
-          Replica* replica = find_replica(request.value().session);
-          if (replica == nullptr) {
-            (void)client->channel->send(encode(
-                RefusalMsg{"render service has no session " + request.value().session}));
-            break;
+          if (Replica* replica = join(*client, request.value().session)) {
+            publisher(*replica).subscribe(client->channel, request.value().quality);
+            client->pulled.reset();
           }
-          if (!replica->stream)
-            replica->stream = std::make_unique<FrameStreamPublisher>(options_.stream);
-          replica->stream->subscribe(client->channel, request.value().quality);
-          client->session = request.value().session;
-          client->subscribed = true;
-          SubscribeAck ack;
-          ack.client_id = replica->subscriber_id;
-          ack.session = client->session;
-          (void)client->channel->send(encode(ack));
           break;
         }
         case kMsgTileMiss: {
-          // Cached-stream fallback: the subscriber's tile store lacked a
-          // referenced hash — answer with the full tile so the assembled
-          // frame stays byte-identical to full delivery.
+          // The receiver's tile store lacked a referenced hash — answer
+          // with the full tile from what this client last got (its last
+          // pull, else the stream) so the assembled frame stays
+          // byte-identical to full delivery.
           auto miss = decode_tile_miss(*msg);
           if (!miss.ok()) break;
           Replica* replica = find_replica(client->session);
           if (replica == nullptr || !replica->stream) break;
-          if (auto reply = replica->stream->make_miss_reply(miss.value()))
+          if (auto reply = replica->stream->make_miss_reply(miss.value(), client->pulled))
             (void)client->channel->send(*std::move(reply));
           break;
         }
@@ -670,8 +659,8 @@ Status RenderService::submit_update(const std::string& session, SceneUpdate upda
 void RenderService::serve_frame(Client& client, const FrameRequest& request,
                                 obs::TraceContext trace) {
   // Adopt the context the frame request carried: everything below (raster
-  // spans, peer tile spans on assisting hosts, encode) stitches into the
-  // requesting client's frame timeline.
+  // spans, peer tile spans on assisting hosts, the reply's stream
+  // messages) stitches into the requesting client's frame timeline.
   obs::ScopedSpan span("serve_frame", options_.profile.name, trace);
   Replica* replica = find_replica(client.session);
   if (replica == nullptr || !replica->ready) {
@@ -683,36 +672,13 @@ void RenderService::serve_frame(Client& client, const FrameRequest& request,
     (void)client.channel->send(encode(RefusalMsg{frame.error()}));
     return;
   }
-  const render::Image image = frame.value().to_image();
-  compress::EncodedImage encoded;
-  {
-    obs::ScopedSpan encode_span("encode", options_.profile.name);
-    if (request.allow_compression) {
-      encoded = client.encoder.encode(image);
-    } else {
-      encoded = compress::make_codec(compress::CodecKind::Raw)->encode(image, nullptr);
-    }
-  }
-  FrameMsg reply;
-  reply.request_id = request.request_id;
-  reply.render_seconds = last_frame_seconds_;
-  reply.encoded_image = encoded.serialize();
-  net::Message wire = encode(reply);
-  stamp_trace(wire);
-  obs::ScopedSpan transmit_span("transmit", options_.profile.name);
-  (void)client.channel->send(std::move(wire));
+  (void)publisher(*replica).answer_pull(frame.value().to_image(), request, last_frame_seconds_,
+                                        *client.channel, client.pulled);
 }
 
-uint64_t RenderService::codec_bytes_in() const {
-  uint64_t total = 0;
-  for (const auto& client : clients_) total += client->encoder.bytes_in();
-  return total;
-}
-
-uint64_t RenderService::codec_bytes_out() const {
-  uint64_t total = 0;
-  for (const auto& client : clients_) total += client->encoder.bytes_out();
-  return total;
+FrameStreamPublisher& RenderService::publisher(Replica& replica) {
+  if (!replica.stream) replica.stream = std::make_unique<FrameStreamPublisher>(options_.stream);
+  return *replica.stream;
 }
 
 RenderCapacity RenderService::capacity() const {

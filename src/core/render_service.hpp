@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "compress/adaptive.hpp"
 #include "core/capacity.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -41,8 +40,8 @@ namespace rave::core {
 class RenderService {
  public:
   // Shared fabric knobs (target_fps, thresholds, retry, tile_timeout,
-  // pool, codec…) live in ServiceConfig; only render-service-specific
-  // ones are added here. `retry` governs every fabric dial this service
+  // pool) live in ServiceConfig; only render-service-specific ones are
+  // added here. `retry` governs every fabric dial this service
   // makes; `tile_timeout` > 0 abandons unresponsive assistants so their
   // tiles are re-dispatched.
   struct Options : ServiceConfig {
@@ -54,8 +53,8 @@ class RenderService {
     // Stand-alone active render client: renders and collaborates but has
     // no service interface to advertise (paper §3.1.2).
     bool active_client_only = false;
-    // Cached frame streaming (tile grid, memo/store capacities) for
-    // clients that join via StreamSubscribe instead of per-frame pulls.
+    // Frame delivery (tile grid, memo/store capacities) for pulls and
+    // StreamSubscribe clients alike.
     FrameStreamOptions stream;
   };
 
@@ -131,7 +130,8 @@ class RenderService {
   // the same channel during pump(). No-op report when nobody subscribed.
   util::Result<FrameStreamPublisher::FrameReport> publish_stream_frame(
       const std::string& session, const scene::Camera& camera, int width, int height);
-  // The session's publisher, nullptr before the first stream subscriber.
+  // The session's publisher (it also answers pulls), nullptr before the
+  // first pull or stream subscriber.
   [[nodiscard]] const FrameStreamPublisher* stream_publisher(const std::string& session) const;
 
   // Fan-out cache totals across every session's publisher (status/rave_top).
@@ -171,13 +171,10 @@ class RenderService {
   [[nodiscard]] const Options& options() const { return options_; }
 
   // Observability views for the status endpoint: frame-latency histogram
-  // (null until the first frame), pending delayed sends, and the codec
-  // traffic aggregated over this service's thin-client encoders.
+  // (null until the first frame) and pending delayed sends.
   [[nodiscard]] const obs::Histogram* frame_latency() const { return frame_latency_; }
   [[nodiscard]] const obs::Histogram* volume_latency() const { return volume_latency_; }
   [[nodiscard]] size_t delayed_queue_depth() const { return delayed_.size(); }
-  [[nodiscard]] uint64_t codec_bytes_in() const;
-  [[nodiscard]] uint64_t codec_bytes_out() const;
 
   // SOAP endpoint "render": queryCapacity, listInstances, createInstance,
   // clientAccessPoint.
@@ -220,19 +217,19 @@ class RenderService {
     // Distribution state.
     bool tile_mode = false;    // disjoint tiles vs full-frame subset merge
     std::vector<RemoteTile> remotes;
-    // Cached-stream fan-out, created on the first StreamSubscribe.
+    // Frame delivery (stream fan-out and pulls), created on first use.
     std::unique_ptr<FrameStreamPublisher> stream;
   };
 
   struct Client {
     net::ChannelPtr channel;
     std::string session;
-    bool subscribed = false;
-    compress::AdaptiveEncoder encoder;
+    // This client's last pull: the next pull's refs and this client's
+    // misses resolve against it (reset when it joins a stream).
+    FrameStreamPublisher::FramePtr pulled;
     std::vector<std::string> pending_avatars;
 
-    explicit Client(net::ChannelPtr ch, compress::AdaptiveConfig codec)
-        : channel(std::move(ch)), encoder(codec) {}
+    explicit Client(net::ChannelPtr ch) : channel(std::move(ch)) {}
   };
 
   struct DelayedSend {
@@ -252,6 +249,7 @@ class RenderService {
                      const render::RenderStats& volume,
                      std::vector<std::pair<scene::NodeId, uint64_t>> node_rays);
   void serve_frame(Client& client, const FrameRequest& request, obs::TraceContext trace);
+  FrameStreamPublisher& publisher(Replica& replica);
   Replica* find_replica(const std::string& session);
   [[nodiscard]] const Replica* find_replica(const std::string& session) const;
   util::Status setup_remotes(Replica& replica, const std::vector<std::string>& access_points,

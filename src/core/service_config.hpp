@@ -10,7 +10,6 @@
 // dial semantics unless a caller opts into retries.
 #pragma once
 
-#include "compress/adaptive.hpp"
 #include "core/capacity.hpp"
 #include "core/failure_detector.hpp"
 #include "util/thread_pool.hpp"
@@ -44,8 +43,6 @@ struct ServiceConfig {
   // Worker pool for tile-parallel rasterization/compositing (shared,
   // null = serial; output is byte-identical either way).
   util::ThreadPool* pool = nullptr;
-  // Frame codec for thin clients.
-  compress::AdaptiveConfig codec{};
 };
 
 }  // namespace rave::core

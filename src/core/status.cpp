@@ -87,8 +87,6 @@ void register_status_endpoint(services::ServiceContainer& container, const std::
           entry["tilesRedispatched"] =
               static_cast<int64_t>(render->stats().tiles_redispatched);
           entry["delayedQueue"] = static_cast<int64_t>(render->delayed_queue_depth());
-          entry["codecBytesIn"] = static_cast<int64_t>(render->codec_bytes_in());
-          entry["codecBytesOut"] = static_cast<int64_t>(render->codec_bytes_out());
           if (const obs::Histogram* latency = render->frame_latency()) {
             entry["frameP50"] = latency->quantile(0.5);
             entry["frameP99"] = latency->quantile(0.99);
@@ -214,8 +212,6 @@ Result<HostStatus> parse_host_status(const SoapValue& value) {
       render.tiles_redispatched =
           static_cast<uint64_t>(entry.field("tilesRedispatched").as_int());
       render.delayed_queue_depth = static_cast<uint64_t>(entry.field("delayedQueue").as_int());
-      render.codec_bytes_in = static_cast<uint64_t>(entry.field("codecBytesIn").as_int());
-      render.codec_bytes_out = static_cast<uint64_t>(entry.field("codecBytesOut").as_int());
       render.frame_p50_seconds = entry.field("frameP50").as_double();
       render.frame_p99_seconds = entry.field("frameP99").as_double();
       render.fanout_tiles_ref = static_cast<uint64_t>(entry.field("fanoutTilesRef").as_int());
@@ -293,13 +289,6 @@ std::string format_dashboard(const std::vector<HostStatus>& hosts) {
             << render.tiles_redispatched << " tile(s) re-dispatched";
       if (render.delayed_queue_depth > 0)
         out << "\n    delayed sends queued: " << render.delayed_queue_depth;
-      if (render.codec_bytes_in > 0) {
-        const uint64_t saved = render.codec_bytes_in > render.codec_bytes_out
-                                   ? render.codec_bytes_in - render.codec_bytes_out
-                                   : 0;
-        out << "\n    codec: " << render.codec_bytes_in << " bytes in, "
-            << render.codec_bytes_out << " out (" << saved << " saved)";
-      }
       if (render.fanout_tiles_ref + render.fanout_tiles_data > 0) {
         const uint64_t tiles = render.fanout_tiles_ref + render.fanout_tiles_data;
         const uint64_t encodes = render.fanout_encode_hits + render.fanout_encode_misses;

@@ -34,17 +34,15 @@ struct RenderStatus {
   double last_frame_seconds = 0;
   double polygons_per_sec = 0;
   // Observability families (PR 4): fault-tolerance churn, send-queue
-  // backlog, codec traffic, and the frame-latency distribution.
+  // backlog, and the frame-latency distribution.
   uint64_t peer_failures = 0;
   uint64_t tiles_redispatched = 0;
   uint64_t delayed_queue_depth = 0;
-  uint64_t codec_bytes_in = 0;   // raw RGB bytes entering the encoder
-  uint64_t codec_bytes_out = 0;  // wire bytes leaving it
   double frame_p50_seconds = 0;
   double frame_p99_seconds = 0;
   // Fan-out cache families (PR 6): content-addressed tile delivery and
-  // per-quality-class encode memoization across this host's stream
-  // publishers.
+  // per-quality-class encode memoization across this host's publishers —
+  // stream frames and pulls alike.
   uint64_t fanout_tiles_ref = 0;      // tiles shipped as references
   uint64_t fanout_tiles_data = 0;     // tiles shipped with pixels
   uint64_t fanout_encode_hits = 0;    // memoized encodes reused

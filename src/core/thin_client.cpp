@@ -1,5 +1,7 @@
 #include "core/thin_client.hpp"
 
+#include <algorithm>
+
 #include "obs/trace.hpp"
 
 namespace rave::core {
@@ -16,6 +18,11 @@ ThinClient::ThinClient(util::Clock& clock, Fabric& fabric, sim::MachineProfile p
 Status ThinClient::connect(const std::string& render_access_point, const std::string& session) {
   auto channel = fabric_->dial(render_access_point);
   if (!channel.ok()) return make_error(channel.error());
+  // A new connection starts clean: the old one closes, and its receiver
+  // (bound to that channel, holding that service's tiles) goes with it.
+  disconnect();
+  receiver_.reset();
+  streaming_ = false;
   channel_ = std::move(channel).take();
   SubscribeRequest request;
   request.session = session;
@@ -32,23 +39,28 @@ Status ThinClient::subscribe_stream(compress::QualityClass quality,
                                     FrameStreamOptions options) {
   if (!connected_) return make_error("thin client: not connected");
   receiver_ = std::make_unique<FrameStreamReceiver>(channel_, quality, options);
+  streaming_ = true;
   return channel_->send(encode(StreamSubscribeMsg{session_, quality}));
+}
+
+double ThinClient::present(const render::Image& frame) {
+  // The device's unpack/blit cost (paper §5.1 "other overheads": the
+  // PDA's 0.047 s), for pulled and pushed frames alike.
+  const uint64_t pixels =
+      static_cast<uint64_t>(frame.width) * static_cast<uint64_t>(frame.height);
+  const double unpack = profile_.pixel_unpack_rate > 0
+                            ? static_cast<double>(pixels) / profile_.pixel_unpack_rate
+                            : 0.0;
+  clock_->sleep_for(unpack);
+  return unpack;
 }
 
 Result<render::Image> ThinClient::next_stream_frame(double timeout_seconds,
                                                     const std::function<void()>& pump) {
   if (!connected_) return make_error("thin client: not connected");
-  if (!receiver_) return make_error("thin client: subscribe_stream first");
+  if (!streaming_) return make_error("thin client: subscribe_stream first");
   auto frame = receiver_->next_frame(*clock_, timeout_seconds, pump);
-  if (!frame.ok()) return frame;
-  // The PDA-side unpack cost applies to streamed frames just like pulled
-  // ones (paper §5.1 "other overheads").
-  const uint64_t pixels = static_cast<uint64_t>(frame.value().width) *
-                          static_cast<uint64_t>(frame.value().height);
-  const double unpack = profile_.pixel_unpack_rate > 0
-                            ? static_cast<double>(pixels) / profile_.pixel_unpack_rate
-                            : 0.0;
-  clock_->sleep_for(unpack);
+  if (frame.ok()) present(frame.value());
   return frame;
 }
 
@@ -56,12 +68,15 @@ Result<render::Image> ThinClient::request_frame(const Camera& camera, int width,
                                                 double timeout_seconds,
                                                 const std::function<void()>& pump) {
   if (!connected_) return make_error("thin client: not connected");
-  FrameRequest request;
-  request.camera = camera;
-  request.width = width;
-  request.height = height;
-  request.allow_compression = allow_compression_;
-  request.request_id = next_request_id_++;
+  if (streaming_)
+    return make_error(
+        "thin client: request_frame after subscribe_stream — this connection carries "
+        "pushed stream frames; read them with next_stream_frame");
+  // A store holds tiles decoded in one class: a new class starts empty,
+  // so its first refs miss and come back as full tiles in that class.
+  if (!receiver_ || receiver_->quality() != quality_)
+    receiver_ = std::make_unique<FrameStreamReceiver>(channel_, quality_);
+  const FrameRequest request{camera, width, height, quality_, next_request_id_++};
   const double t0 = clock_->now();
   // The per-frame trace starts here: the root span covers the whole
   // request round-trip, and its context rides the FrameRequest so every
@@ -72,47 +87,23 @@ Result<render::Image> ThinClient::request_frame(const Camera& camera, int width,
   const Status sent = channel_->send(wire);
   if (!sent.ok()) return make_error(sent.error());
 
-  const double deadline = clock_->now() + timeout_seconds;
-  while (clock_->now() < deadline) {
-    if (pump) pump();
-    auto msg = channel_->receive(pump ? 0.005 : timeout_seconds);
-    if (!msg.has_value()) continue;
-    if (msg->type == kMsgRefusal) {
-      auto refusal = decode_refusal(*msg);
-      return make_error(refusal.ok() ? refusal.value().reason : "refused");
-    }
-    if (msg->type == kMsgSubscribeAck || msg->type == kMsgAvatarAck) continue;
-    if (msg->type != kMsgFrame) continue;
-    auto frame = decode_frame(*msg);
-    if (!frame.ok()) return make_error(frame.error());
-    if (frame.value().request_id != request.request_id) continue;  // stale frame
+  const double deadline = t0 + timeout_seconds;
+  const uint64_t bytes_before = receiver_->stats().bytes_received;
+  for (;;) {
+    auto frame = receiver_->next_frame(*clock_, deadline - clock_->now(), pump);
+    if (!frame.ok()) return frame;
+    const FrameBeginMsg& header = receiver_->last_header();
+    if (header.frame_id != request.request_id) continue;  // late reply to an earlier pull
 
     const double received_at = clock_->now();
-    auto encoded = compress::EncodedImage::deserialize(frame.value().encoded_image);
-    if (!encoded.ok()) return make_error(encoded.error());
-    auto image = [&] {
-      obs::ScopedSpan decode_span("decode", profile_.name);
-      return decoder_.decode(encoded.value());
-    }();
-    if (!image.ok()) return make_error(image.error());
-
-    // Client-side unpack/blit cost (the PDA's 0.047 s "other overheads").
-    const uint64_t pixels = static_cast<uint64_t>(width) * static_cast<uint64_t>(height);
-    const double unpack =
-        profile_.pixel_unpack_rate > 0 ? static_cast<double>(pixels) / profile_.pixel_unpack_rate
-                                       : 0.0;
-    clock_->sleep_for(unpack);
-
-    stats_.render_seconds = frame.value().render_seconds;
-    stats_.client_seconds = unpack;
-    stats_.image_bytes = frame.value().encoded_image.size();
-    stats_.codec = encoded.value().codec;
+    stats_.client_seconds = present(frame.value());
+    stats_.render_seconds = header.render_seconds.value_or(0.0);
+    stats_.image_bytes = receiver_->stats().bytes_received - bytes_before;
+    stats_.codec = compress::codec_for_quality(quality_);
     stats_.total_latency = clock_->now() - t0;
-    stats_.receipt_seconds =
-        std::max(0.0, received_at - t0 - stats_.render_seconds);
-    return std::move(image).take();
+    stats_.receipt_seconds = std::max(0.0, received_at - t0 - stats_.render_seconds);
+    return frame;
   }
-  return make_error("thin client: frame request timed out");
 }
 
 Result<NodeId> ThinClient::create_avatar(const std::string& user_name, double timeout_seconds,

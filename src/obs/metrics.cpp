@@ -153,11 +153,11 @@ const char* metric_help(std::string_view name) {
       {"rave_canary_frames_total", "Canary probe outcomes by host, class and result"},
       {"rave_canary_join_seconds", "Canary join-to-first-frame latency"},
       {"rave_canary_state", "Canary verdict per host (0 unknown, 1 healthy, 2 degraded, 3 unhealthy)"},
-      {"rave_codec_bytes_in_total", "Raw RGB bytes entering the adaptive encoder"},
-      {"rave_codec_bytes_out_total", "Wire bytes leaving the adaptive encoder"},
-      {"rave_codec_decode_ns_total", "Nanoseconds spent decoding frames"},
-      {"rave_codec_encode_ns_total", "Nanoseconds spent encoding frames"},
-      {"rave_codec_frames_total", "Frames through the adaptive codec"},
+      {"rave_codec_bytes_in_total", "Raw RGB bytes into AdaptiveEncoder (codec ablation)"},
+      {"rave_codec_bytes_out_total", "Bytes out of AdaptiveEncoder (codec ablation)"},
+      {"rave_codec_decode_ns_total", "Nanoseconds in AdaptiveDecoder (codec ablation)"},
+      {"rave_codec_encode_ns_total", "Nanoseconds in AdaptiveEncoder (codec ablation)"},
+      {"rave_codec_frames_total", "Frames through AdaptiveEncoder (codec ablation)"},
       {"rave_collector_gaps_total", "Failed metric scrapes (unreachable target)"},
       {"rave_data_updates_committed_total", "Scene updates committed by the data service"},
       {"rave_events_total", "Structured log events by component and severity"},

@@ -287,35 +287,5 @@ TEST(ParallelRaycast, BitIdenticalToSerial) {
   EXPECT_EQ(serial.depth(), parallel.depth());
 }
 
-// --- adaptive compression through the full client path ----------------------------
-
-TEST(AdaptivePipeline, StaticSceneSettlesIntoSmallDeltas) {
-  util::SimClock clock;
-  core::RaveGrid grid(clock);
-  core::DataService& data = grid.add_data_service("datahost");
-  SceneTree tree;
-  tree.add_child(kRootNode, "ball", mesh::make_uv_sphere(0.6f, 16, 12));
-  ASSERT_TRUE(data.create_session("demo", std::move(tree)).ok());
-  grid.add_render_service("laptop");
-  ASSERT_TRUE(grid.join("laptop", "datahost", "demo").ok());
-
-  core::ThinClient client(clock, grid.fabric());
-  ASSERT_TRUE(client.connect(grid.render_service("laptop")->client_access_point(), "demo").ok());
-  const auto pump = [&] { grid.pump_all(); };
-  Camera cam = front_camera();
-
-  auto first = client.request_frame(cam, 200, 200, 5.0, pump);
-  ASSERT_TRUE(first.ok());
-  const uint64_t first_bytes = client.last_stats().image_bytes;
-  auto second = client.request_frame(cam, 200, 200, 5.0, pump);
-  ASSERT_TRUE(second.ok());
-  const uint64_t second_bytes = client.last_stats().image_bytes;
-  // Identical camera, static scene: the second frame is a near-empty delta.
-  EXPECT_EQ(client.last_stats().codec, compress::CodecKind::Delta);
-  EXPECT_LT(second_bytes, first_bytes / 4);
-  // And the decoded images are pixel-identical.
-  EXPECT_EQ(first.value().rgb, second.value().rgb);
-}
-
 }  // namespace
 }  // namespace rave

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "compress/tile_cache.hpp"
 #include "core/frame_stream.hpp"
@@ -21,6 +22,7 @@
 #include "net/tcp.hpp"
 #include "obs/trace.hpp"
 #include "render/compositor.hpp"
+#include "render/rasterizer.hpp"
 #include "util/clock.hpp"
 
 namespace rave::core {
@@ -174,6 +176,21 @@ TEST(StreamProtocol, MessagesRoundTrip) {
   ASSERT_TRUE(begin2.ok());
   EXPECT_EQ(begin2.value().frame_id, 41u);
   EXPECT_EQ(begin2.value().tile_count, 80u);
+  EXPECT_FALSE(begin2.value().render_seconds.has_value());
+  // Only a pull reply carries the trailing render time; a subscribed
+  // stream's header stays as it was.
+  FrameBeginMsg pulled = begin;
+  pulled.render_seconds = 0.091;
+  const net::Message pulled_wire = encode(pulled);
+  EXPECT_EQ(pulled_wire.payload.size(), encode(begin).payload.size() + sizeof(double));
+  auto pulled2 = decode_frame_begin(pulled_wire);
+  ASSERT_TRUE(pulled2.ok());
+  EXPECT_EQ(pulled2.value().render_seconds, 0.091);
+
+  // Unknown quality codes fail the decode rather than index per-class state.
+  net::Message bad_class = encode(StreamSubscribeMsg{"demo", QualityClass::Workstation});
+  bad_class.payload.back() = 7;
+  EXPECT_FALSE(decode_stream_subscribe(bad_class).ok());
 
   TileRefMsg ref{41, 17, 0x1234567890abcdefull};
   const net::Message ref_wire = encode(ref);
@@ -516,6 +533,177 @@ TEST(FanoutE2E, PublishSkipsRenderWithNoSubscribers) {
   EXPECT_EQ(report.value().tiles_total, 0u);
   EXPECT_EQ(render.stats().frames_rendered, 0u);  // no render happened
   EXPECT_FALSE(render.publish_stream_frame("nope", cam, 64, 64).ok());
+}
+
+// --- pulls: a FrameRequest is answered with one stream frame -------------------
+
+// A pulled frame equals the reference render (through the class codec for
+// the lossy class), and pulling the unchanged view again ships only tile
+// refs. Sizes that are not a multiple of the 64 px tile cover ragged edges
+// and single-tile frames; Raw is Table 2's uncompressed 24 bpp frame.
+using PullSize = std::pair<int, int>;  // width, height
+class PullIdentity : public testing::TestWithParam<std::tuple<PullSize, QualityClass>> {};
+
+TEST_P(PullIdentity, PulledFrameMatchesReferenceAndRepeatsAsRefs) {
+  const auto [size, quality] = GetParam();
+  const auto [width, height] = size;
+  util::SimClock clock;
+  RaveGrid grid(clock);
+  DataService& data = grid.add_data_service("datahost");
+  scene::SceneTree tree;
+  tree.add_child(scene::kRootNode, "ball", mesh::make_uv_sphere(0.6f, 16, 12));
+  // Two coloured balls in front add edges, so even the smallest frame
+  // does not collapse to a few RLE runs (traced messages carry 16 more
+  // header bytes each, which a near-empty first frame could not absorb).
+  const std::pair<util::Vec3, util::Vec3> small_balls[] = {  // colour, centre
+      {{1, 0.2f, 0.1f}, {0.15f, 0.05f, 0.6f}},
+      {{0.1f, 0.3f, 1}, {-0.2f, -0.1f, 0.65f}}};
+  for (const auto& [color, at] : small_balls) {
+    scene::MeshData small = mesh::make_uv_sphere(0.3f, 12, 9);
+    small.base_color = color;
+    tree.add_child(scene::kRootNode, "small", small, util::Mat4::translate(at));
+  }
+  ASSERT_TRUE(data.create_session("demo", std::move(tree)).ok());
+  grid.add_render_service("laptop");
+  ASSERT_TRUE(grid.join("laptop", "datahost", "demo").ok());
+  RenderService& render = *grid.render_service("laptop");
+
+  ThinClient client(clock, grid.fabric());
+  ASSERT_TRUE(client.connect(render.client_access_point(), "demo").ok());
+  client.set_quality(quality);
+  // Close enough that the shaded balls fill most of every frame size.
+  scene::Camera cam;
+  cam.eye = {0, 0, 1.5f};
+  const auto pump = [&] { grid.pump_all(); };
+
+  auto first = client.request_frame(cam, width, height, 5.0, pump);
+  ASSERT_TRUE(first.ok()) << first.error();
+  const Image reference =
+      render::render_tree(*render.replica("demo"), cam, width, height).to_image();
+  const Image expected = quality == QualityClass::Pda
+                             ? full_delivery_reference(reference, quality, 64)
+                             : reference;
+  EXPECT_EQ(first.value().rgb, expected.rgb);
+  EXPECT_EQ(client.last_stats().codec, compress::codec_for_quality(quality));
+  const uint64_t first_bytes = client.last_stats().image_bytes;
+
+  const FrameStreamReceiver* receiver = client.stream_receiver();
+  ASSERT_NE(receiver, nullptr);
+  const auto before = receiver->stats();
+  auto second = client.request_frame(cam, width, height, 5.0, pump);
+  ASSERT_TRUE(second.ok()) << second.error();
+  // Identical camera, static scene: the second frame is refs only.
+  const size_t tiles = render::tile_grid(width, height, 64).size();
+  EXPECT_EQ(receiver->stats().data_tiles, before.data_tiles);
+  EXPECT_EQ(receiver->stats().refs_resolved - before.refs_resolved, tiles);
+  EXPECT_LT(client.last_stats().image_bytes, first_bytes / 4);
+  EXPECT_EQ(second.value().rgb, first.value().rgb);
+}
+
+std::string pull_case_name(const testing::TestParamInfo<PullIdentity::ParamType>& info) {
+  const PullSize size = std::get<0>(info.param);
+  return std::to_string(size.first) + "x" + std::to_string(size.second) + "_" +
+         compress::quality_name(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndClasses, PullIdentity,
+    testing::Combine(testing::Values(PullSize(200, 200), PullSize(64, 48), PullSize(33, 17)),
+                     testing::Values(QualityClass::Workstation, QualityClass::Pda,
+                                     QualityClass::Raw)),
+    pull_case_name);
+
+// A TileMiss after a pull is answered from that client's last pulled
+// frame: with a one-tile store every ref of the repeated pull misses.
+TEST(FanoutPull, MissesResolveAgainstTheClientsLastPull) {
+  util::SimClock clock;
+  FrameStreamOptions options;
+  options.tile_size = 32;
+  options.tile_store_capacity = 1;
+  FrameStreamPublisher publisher(options);
+  auto [server_end, client_end] = net::make_channel_pair();
+  FrameStreamReceiver receiver(client_end, QualityClass::Workstation, options);
+  FrameStreamPublisher::FramePtr pulled;
+  const auto pump = [&, server = server_end] {
+    while (auto msg = server->try_receive()) {
+      const auto miss = decode_tile_miss(*msg);
+      ASSERT_TRUE(miss.ok());
+      if (auto reply = publisher.make_miss_reply(miss.value(), pulled)) {
+        ASSERT_TRUE(server->send(*std::move(reply)).ok());
+      }
+    }
+  };
+  const Image frame = test_image(96, 64, 3);
+  FrameRequest request;
+  request.request_id = 7;
+  const auto first = publisher.answer_pull(frame, request, 0.25, *server_end, pulled);
+  EXPECT_EQ(first.tiles_data, first.tiles_total);
+  ASSERT_TRUE(receiver.next_frame(clock, 1.0, pump).ok());
+
+  request.request_id = 8;
+  const auto second = publisher.answer_pull(frame, request, 0.5, *server_end, pulled);
+  EXPECT_EQ(second.tiles_ref, second.tiles_total);
+  auto got = receiver.next_frame(clock, 1.0, pump);
+  ASSERT_TRUE(got.ok()) << got.error();
+  EXPECT_EQ(got.value().rgb, frame.rgb);
+  EXPECT_GT(receiver.stats().miss_requests, 0u);
+  EXPECT_EQ(publisher.stats().miss_replies, receiver.stats().miss_requests);
+  EXPECT_EQ(receiver.last_header().frame_id, 8u);
+  ASSERT_TRUE(receiver.last_header().render_seconds.has_value());
+  EXPECT_DOUBLE_EQ(*receiver.last_header().render_seconds, 0.5);
+}
+
+// A reply to an earlier request that arrives late is not the answer to
+// the current one: request_frame drops it and waits for its own frame.
+TEST(FanoutPull, LateReplyToAnEarlierRequestIsDropped) {
+  util::SimClock clock;
+  InProcFabric fabric(clock);
+  net::ChannelPtr server;
+  auto access = fabric.listen("svc", [&](net::ChannelPtr ch) { server = std::move(ch); });
+  ASSERT_TRUE(access.ok()) << access.error();
+  ThinClient client(clock, fabric);
+  ASSERT_TRUE(client.connect(access.value(), "demo").ok());
+
+  FrameStreamPublisher publisher;
+  FrameStreamPublisher::FramePtr stale_state, pulled;
+  const Image stale = test_image(40, 30, 1);
+  const Image wanted = test_image(40, 30, 2);
+  // The service answers the earlier request only now, right before the
+  // current one.
+  const auto pump = [&] {
+    if (server == nullptr) return;
+    std::vector<FrameRequest> requests;
+    while (auto msg = server->try_receive())
+      if (auto request = decode_frame_request(*msg); request.ok())
+        requests.push_back(request.value());
+    if (requests.size() != 2) return;
+    (void)publisher.answer_pull(stale, requests[0], 9.0, *server, stale_state);
+    (void)publisher.answer_pull(wanted, requests[1], 0.125, *server, pulled);
+  };
+  (void)client.request_frame(scene::Camera{}, 40, 30, 0.0);  // request 1: no answer
+  auto got = client.request_frame(scene::Camera{}, 40, 30, 5.0, pump);
+  ASSERT_TRUE(got.ok()) << got.error();
+  EXPECT_EQ(got.value().rgb, wanted.rgb);
+  EXPECT_DOUBLE_EQ(client.last_stats().render_seconds, 0.125);
+}
+
+// Satellite guard: a stream subscription's channel carries pushed frames,
+// and a pull would silently consume them — request_frame refuses instead.
+TEST(FanoutPull, RequestAfterSubscribeStreamIsAnError) {
+  util::SimClock clock;
+  RaveGrid grid(clock);
+  DataService& data = grid.add_data_service("datahost");
+  scene::SceneTree tree;
+  tree.add_child(scene::kRootNode, "ball", mesh::make_uv_sphere(0.5f, 8, 6));
+  ASSERT_TRUE(data.create_session("demo", std::move(tree)).ok());
+  grid.add_render_service("laptop");
+  ASSERT_TRUE(grid.join("laptop", "datahost", "demo").ok());
+  ThinClient client(clock, grid.fabric());
+  ASSERT_TRUE(client.connect(grid.render_service("laptop")->client_access_point(), "demo").ok());
+  ASSERT_TRUE(client.subscribe_stream(QualityClass::Workstation).ok());
+  auto pulled = client.request_frame(scene::Camera{}, 32, 32, 1.0, [&] { grid.pump_all(); });
+  ASSERT_FALSE(pulled.ok());
+  EXPECT_NE(pulled.error().find("next_stream_frame"), std::string::npos) << pulled.error();
 }
 
 // --- per-hop delivery tracing over real TCP ----------------------------------

@@ -628,15 +628,18 @@ TEST(ObsStatus, ExtendedFamiliesRoundTripThroughSoap) {
   ASSERT_EQ(render_host->renders.size(), 1u);
   const RenderStatus& render = render_host->renders[0];
   EXPECT_GE(render.frames_rendered, 1u);
-  // The new families survived the SOAP round-trip: a served frame must
-  // have moved codec bytes and populated the latency histogram.
-  EXPECT_GT(render.codec_bytes_in, 0u);
-  EXPECT_GT(render.codec_bytes_out, 0u);
+  // The new families survived the SOAP round-trip: a pulled frame is a
+  // stream frame, so it must have shipped data tiles through the encode
+  // memo and populated the latency histogram.
+  EXPECT_GT(render.fanout_tiles_data, 0u);
+  EXPECT_GT(render.fanout_encode_misses, 0u);
+  EXPECT_EQ(render.fanout_subscribers, 0u);  // a pull is not a subscription
   EXPECT_GT(render.frame_p50_seconds, 0.0);
   EXPECT_GE(render.frame_p99_seconds, render.frame_p50_seconds);
 
   const std::string dashboard = format_dashboard(statuses);
-  EXPECT_NE(dashboard.find("codec:"), std::string::npos) << dashboard;
+  EXPECT_NE(dashboard.find("fanout cache:"), std::string::npos) << dashboard;
+  EXPECT_EQ(dashboard.find("codec:"), std::string::npos) << dashboard;
   EXPECT_NE(dashboard.find("p50/p99"), std::string::npos) << dashboard;
 }
 
@@ -670,8 +673,11 @@ TEST(ObsStatus, DashboardShowsFailureChurn) {
   render.peer_failures = 1;
   render.tiles_redispatched = 3;
   render.delayed_queue_depth = 4;
-  render.codec_bytes_in = 1000;
-  render.codec_bytes_out = 400;
+  render.fanout_tiles_ref = 3;
+  render.fanout_tiles_data = 1;
+  render.fanout_encode_hits = 1;
+  render.fanout_encode_misses = 1;
+  render.fanout_bytes_saved = 600;
   HostStatus render_entry;
   render_entry.host = "laptop";
   render_entry.has_render_service = true;
@@ -682,7 +688,9 @@ TEST(ObsStatus, DashboardShowsFailureChurn) {
   EXPECT_NE(text.find("1 recovery round(s)"), std::string::npos) << text;
   EXPECT_NE(text.find("1 peer failure(s), 3 tile(s) re-dispatched"), std::string::npos) << text;
   EXPECT_NE(text.find("delayed sends queued: 4"), std::string::npos) << text;
-  EXPECT_NE(text.find("1000 bytes in, 400 out (600 saved)"), std::string::npos) << text;
+  EXPECT_NE(text.find("3/4 tiles as refs (75% hit), encode memo 1/2 hits (600 bytes saved)"),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace

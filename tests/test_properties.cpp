@@ -82,7 +82,7 @@ TEST(Fuzz, ProtocolDecodersRejectRandomPayloads) {
   std::uniform_int_distribution<int> byte(0, 255);
   for (int round = 0; round < 200; ++round) {
     net::Message msg;
-    msg.type = static_cast<uint16_t>(0x0100 + rng() % 0x30);
+    msg.type = static_cast<uint16_t>(0x0100 + rng() % 0x40);
     msg.payload.resize(rng() % 128);
     for (auto& b : msg.payload) b = static_cast<uint8_t>(byte(rng));
     // Every decoder must return an error or a value — never crash.
@@ -90,7 +90,12 @@ TEST(Fuzz, ProtocolDecodersRejectRandomPayloads) {
     (void)core::decode_snapshot(msg);
     (void)core::decode_update(msg);
     (void)core::decode_frame_request(msg);
-    (void)core::decode_frame(msg);
+    (void)core::decode_stream_subscribe(msg);
+    (void)core::decode_frame_begin(msg);
+    (void)core::decode_tile_ref(msg);
+    (void)core::decode_tile_data(msg);
+    (void)core::decode_frame_end(msg);
+    (void)core::decode_tile_miss(msg);
     (void)core::decode_tile_assign(msg);
     (void)core::decode_tile_result(msg);
     (void)core::decode_load_report(msg);

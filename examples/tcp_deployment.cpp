@@ -40,10 +40,35 @@ int main() {
   if (!client_ap.ok()) return 1;
   std::printf("render service client endpoint %s\n", client_ap.value().c_str());
 
+  // Subscribe over TCP and pump both services here until the bootstrap
+  // snapshot lands. Everything read from the services happens before the
+  // pump threads start; after that only those threads touch them.
+  if (!render.connect_session(data_ap.value(), "demo").ok()) return 1;
+  for (int i = 0; i < 2000 && !render.bootstrapped("demo"); ++i) {
+    if (data.pump() + render.pump() == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!render.bootstrapped("demo")) {
+    std::printf("bootstrap over TCP failed\n");
+    return 1;
+  }
+  const scene::SceneTree& replica = *render.replica("demo");
+  std::printf("render service bootstrapped over TCP (%llu scene nodes)\n",
+              static_cast<unsigned long long>(replica.node_count()));
+  const scene::Camera cam = scene::Camera::framing(replica.world_bounds());
+  const scene::NodeId ship = replica.find_by_name("ship");
+
+  // --- thin client --------------------------------------------------------------
+  core::ThinClient client(clock, fabric);
+  if (!client.connect(client_ap.value(), "demo").ok()) return 1;
+
   std::atomic<bool> running{true};
+  std::atomic<uint64_t> committed{0};  // written by data_thread only
   std::thread data_thread([&] {
     while (running.load()) {
-      if (data.pump() == 0) std::this_thread::sleep_for(std::chrono::microseconds(300));
+      const size_t handled = data.pump();
+      committed.store(data.committed_updates("demo"));
+      if (handled == 0) std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
   });
   std::thread render_thread([&] {
@@ -52,24 +77,6 @@ int main() {
     }
   });
 
-  // Subscribe over TCP and wait for the bootstrap snapshot.
-  if (!render.connect_session(data_ap.value(), "demo").ok()) return 1;
-  for (int i = 0; i < 2000 && !render.bootstrapped("demo"); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  if (!render.bootstrapped("demo")) {
-    std::printf("bootstrap over TCP failed\n");
-    running = false;
-    data_thread.join();
-    render_thread.join();
-    return 1;
-  }
-  std::printf("render service bootstrapped over TCP (%llu scene nodes)\n",
-              static_cast<unsigned long long>(render.replica("demo")->node_count()));
-
-  // --- thin client --------------------------------------------------------------
-  core::ThinClient client(clock, fabric);
-  if (!client.connect(client_ap.value(), "demo").ok()) return 1;
-  const scene::Camera cam = scene::Camera::framing(render.replica("demo")->world_bounds());
   int frames_ok = 0;
   for (int i = 0; i < 3; ++i) {
     auto frame = client.request_frame(cam, 200, 200, 5.0);
@@ -88,15 +95,12 @@ int main() {
   }
 
   // A collaborative edit over the same sockets.
-  const scene::NodeId ship = render.replica("demo")->find_by_name("ship");
   (void)client.send_update(
       scene::SceneUpdate::set_transform(ship, util::Mat4::rotate_y(0.5f)));
-  for (int i = 0; i < 500; ++i) {
-    if (data.committed_updates("demo") > 0) break;
+  for (int i = 0; i < 500 && committed.load() == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   std::printf("edit committed over TCP: %llu update(s) at the data service\n",
-              static_cast<unsigned long long>(data.committed_updates("demo")));
+              static_cast<unsigned long long>(committed.load()));
 
   running = false;
   data_thread.join();

@@ -352,7 +352,6 @@ render::FrameBuffer RenderService::render_local(Replica& replica, const Camera& 
   opts.region = region;
   opts.pool = options_.pool;
   render::Rasterizer raster(width, height);
-  raster.clear(opts);
   // One frustum-culling pass in front of both backends: walk the replica
   // once, test node world bounds, and hand each backend its pre-culled
   // list. Subset holders keep their interest roots for raster geometry
@@ -365,7 +364,24 @@ render::FrameBuffer RenderService::render_local(Replica& replica, const Camera& 
   const float aspect = static_cast<float>(width) / static_cast<float>(height);
   const render::RenderList list =
       render::build_render_list(replica.tree, camera, aspect, list_opts);
-  raster.draw_list(list, camera, opts);
+  // Raster items through the replica's layer cache: a fixed view with a
+  // changed suffix (a moved avatar) restores the prefix's planes and draws
+  // only the suffix; the stats still count the full list.
+  const bool hit = replica.layers.draw(raster, list, camera, opts);
+  if (layer_hits_ == nullptr) {
+    auto& reg = obs::MetricsRegistry::global();
+    layer_hits_ = &reg.counter("rave_render_layer_total",
+                               {{"host", options_.profile.name}, {"outcome", "hit"}});
+    layer_misses_ = &reg.counter("rave_render_layer_total",
+                                 {{"host", options_.profile.name}, {"outcome", "miss"}});
+  }
+  if (hit) {
+    ++stats_.layer_hits;
+    layer_hits_->inc();
+  } else {
+    ++stats_.layer_misses;
+    layer_misses_->inc();
+  }
 
   render::RaycastOptions ray_opts;
   ray_opts.region = region;

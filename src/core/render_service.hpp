@@ -27,6 +27,7 @@
 #include "core/protocol.hpp"
 #include "core/service_config.hpp"
 #include "render/compositor.hpp"
+#include "render/layer_cache.hpp"
 #include "render/rasterizer.hpp"
 #include "render/raycast.hpp"
 #include "scene/tree.hpp"
@@ -71,6 +72,11 @@ class RenderService {
     // next to the rave_volume_seconds histogram.
     uint64_t volume_rays = 0;
     uint64_t bricks_skipped = 0;  // macro-cell skip jumps taken
+    // Renders that restored a replica's cached prefix layer vs renders
+    // that drew the whole list (render/layer_cache.hpp); also exported as
+    // rave_render_layer_total{host,outcome}.
+    uint64_t layer_hits = 0;
+    uint64_t layer_misses = 0;
   };
 
   RenderService(util::Clock& clock, Fabric& fabric) : RenderService(clock, fabric, Options()) {}
@@ -219,6 +225,9 @@ class RenderService {
     std::vector<RemoteTile> remotes;
     // Frame delivery (stream fan-out and pulls), created on first use.
     std::unique_ptr<FrameStreamPublisher> stream;
+    // Planes after the unchanged render-list prefix; every render_local
+    // (frames, pulls, publishes, peer tiles) goes through it.
+    render::LayerCache layers;
   };
 
   struct Client {
@@ -273,6 +282,8 @@ class RenderService {
   Stats stats_;
   obs::Histogram* frame_latency_ = nullptr;  // registry-owned, keyed by host
   obs::Histogram* volume_latency_ = nullptr;  // rave_volume_seconds, keyed by host
+  obs::Counter* layer_hits_ = nullptr;        // rave_render_layer_total, keyed by host
+  obs::Counter* layer_misses_ = nullptr;
   obs::Gauge* delayed_gauge_ = nullptr;
   double last_frame_seconds_ = 0;
   double assist_stall_seconds_ = 0;

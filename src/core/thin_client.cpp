@@ -45,13 +45,14 @@ Status ThinClient::subscribe_stream(compress::QualityClass quality,
 
 double ThinClient::present(const render::Image& frame) {
   // The device's unpack/blit cost (paper §5.1 "other overheads": the
-  // PDA's 0.047 s), for pulled and pushed frames alike.
+  // PDA's 0.047 s), for pulled and pushed frames alike. Modelled work: it
+  // advances a virtual clock (Table 2) and is never slept on a real one.
   const uint64_t pixels =
       static_cast<uint64_t>(frame.width) * static_cast<uint64_t>(frame.height);
   const double unpack = profile_.pixel_unpack_rate > 0
                             ? static_cast<double>(pixels) / profile_.pixel_unpack_rate
                             : 0.0;
-  clock_->sleep_for(unpack);
+  clock_->charge(unpack);
   return unpack;
 }
 

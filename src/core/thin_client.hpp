@@ -99,8 +99,9 @@ class ThinClient {
   uint32_t next_request_id_ = 1;
   FrameStats stats_;
 
-  // Charge the device's modelled unpack/blit of `frame` to the clock;
-  // returns the seconds charged.
+  // Charge the device's modelled unpack/blit of `frame` to the clock
+  // (Clock::charge: a virtual clock advances, a real one is not slept);
+  // returns the seconds charged, which FrameStats::client_seconds reports.
   double present(const render::Image& frame);
 };
 

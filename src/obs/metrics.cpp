@@ -187,6 +187,7 @@ const char* metric_help(std::string_view name) {
       {"rave_raycast_samples_total", "Volume samples taken along rays"},
       {"rave_relay_upstream_errors_total", "Fan-out relay upstream connection errors"},
       {"rave_render_delayed_sends", "Depth of the render service's delayed-send queue"},
+      {"rave_render_layer_total", "Renders by prefix-layer cache outcome (hit/miss)"},
       {"rave_soap_calls_total", "SOAP calls served by host containers"},
       {"rave_soap_faults_total", "SOAP calls answered with a fault"},
       {"rave_stream_delivery_seconds", "Publish-to-receive latency of streamed frames"},

@@ -782,9 +782,16 @@ void Rasterizer::draw_points(const scene::PointCloudData& points, const Mat4& mo
 }
 
 void Rasterizer::draw_list(const RenderList& list, const Camera& camera,
-                           const RenderOptions& options) {
+                           const RenderOptions& options, size_t first) {
   stats_.nodes_culled += list.nodes_culled;
-  for (const RenderList::RasterItem& item : list.raster) {
+  draw_items(list, first, list.raster.size(), camera, options);
+}
+
+void Rasterizer::draw_items(const RenderList& list, size_t first, size_t last,
+                            const Camera& camera, const RenderOptions& options) {
+  last = std::min(last, list.raster.size());
+  for (size_t i = first; i < last; ++i) {
+    const RenderList::RasterItem& item = list.raster[i];
     if (const auto* mesh = std::get_if<scene::MeshData>(&item.node->payload)) {
       draw_mesh(*mesh, item.world, camera, options);
     } else if (const auto* pts = std::get_if<scene::PointCloudData>(&item.node->payload)) {

@@ -97,10 +97,15 @@ class Rasterizer {
 
   // Render the rasterizable items (meshes, point clouds, avatars) of a
   // pre-culled render list (render_list.hpp) in list order; voxel grids are
-  // the ray-caster's (raycast.hpp). The list's cull count is folded into
-  // stats().nodes_culled.
+  // the ray-caster's (raycast.hpp). Items before `first` are already in
+  // the planes (a restored layer, layer_cache.hpp). The list's cull count
+  // is folded into stats().nodes_culled.
   void draw_list(const RenderList& list, const Camera& camera,
-                 const RenderOptions& options = {});
+                 const RenderOptions& options = {}, size_t first = 0);
+  // Render raster items [first, last) of a list without folding its cull
+  // count: the layer cache draws the prefix it snapshots with this.
+  void draw_items(const RenderList& list, size_t first, size_t last, const Camera& camera,
+                  const RenderOptions& options = {});
 
   [[nodiscard]] const FrameBuffer& framebuffer() const { return fb_; }
   [[nodiscard]] FrameBuffer& framebuffer() { return fb_; }

@@ -1,5 +1,6 @@
 #include "scene/node.hpp"
 
+#include <atomic>
 #include <cmath>
 
 namespace rave::scene {
@@ -109,7 +110,14 @@ NodeMetrics SceneNode::metrics() const {
   return m;
 }
 
-Aabb SceneNode::local_bounds() const {
+uint64_t next_node_stamp() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+namespace {
+
+Aabb payload_bounds(const NodePayload& payload) {
   if (const auto* mesh = std::get_if<MeshData>(&payload)) return mesh->bounds();
   if (const auto* pts = std::get_if<PointCloudData>(&payload)) return pts->bounds();
   if (const auto* vox = std::get_if<VoxelGridData>(&payload)) return vox->bounds();
@@ -120,6 +128,22 @@ Aabb SceneNode::local_bounds() const {
     return box;
   }
   return {};
+}
+
+}  // namespace
+
+Aabb SceneNode::local_bounds() const {
+  if (stamp == 0) return payload_bounds(payload);
+  uint64_t memo = bounds_memo_.stamp.load(std::memory_order_acquire);
+  if (memo == stamp) return bounds_memo_.box;
+  const Aabb box = payload_bounds(payload);
+  if (memo != BoundsMemo::kFilling &&
+      bounds_memo_.stamp.compare_exchange_strong(memo, BoundsMemo::kFilling,
+                                                 std::memory_order_acquire)) {
+    bounds_memo_.box = box;
+    bounds_memo_.stamp.store(stamp, std::memory_order_release);
+  }
+  return box;
 }
 
 MeshData make_avatar_mesh(const AvatarData& avatar) {

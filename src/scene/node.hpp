@@ -5,6 +5,7 @@
 // render services through the normal update path.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -134,6 +135,9 @@ struct NodeMetrics {
   }
 };
 
+// A fresh node stamp: unique across the process, never 0.
+uint64_t next_node_stamp();
+
 struct SceneNode {
   NodeId id = kInvalidNode;
   std::string name;
@@ -141,14 +145,39 @@ struct SceneNode {
   std::vector<NodeId> children;
   Mat4 transform = Mat4::identity();
   NodePayload payload;
+  // Content version, unique across the process. Every SceneTree mutator
+  // renews it for the node it touches, and so does find_mutable, because
+  // callers mutate through the pointer it returns: mutate right after the
+  // call, before the next read. Render-side caches key on (id, stamp)
+  // (render/layer_cache.hpp); 0 = not in a tree. Not serialized.
+  uint64_t stamp = 0;
 
   [[nodiscard]] NodeKind kind() const;
   [[nodiscard]] NodeMetrics metrics() const;
-  [[nodiscard]] Aabb local_bounds() const;  // payload bounds, pre-transform
+  // Payload bounds, pre-transform. Memoized per stamp (a hand-sized mesh
+  // is a pass over every vertex); a node with stamp 0 recomputes.
+  [[nodiscard]] Aabb local_bounds() const;
 
   [[nodiscard]] bool is_avatar() const {
     return std::holds_alternative<AvatarData>(payload);
   }
+
+ private:
+  // local_bounds' memo. Concurrent const readers stay race-free: one
+  // claims the cell (kFilling) and publishes the box with its stamp, the
+  // others compute their own. A copied node starts with an empty memo.
+  struct BoundsMemo {
+    static constexpr uint64_t kFilling = ~uint64_t{0};
+    std::atomic<uint64_t> stamp{0};
+    Aabb box;
+    BoundsMemo() = default;
+    BoundsMemo(const BoundsMemo& /*other*/) {}
+    BoundsMemo& operator=(const BoundsMemo& /*other*/) {
+      stamp.store(0, std::memory_order_relaxed);
+      return *this;
+    }
+  };
+  mutable BoundsMemo bounds_memo_;
 };
 
 // The avatar's visible geometry: a cone pointing along -Z (the camera view

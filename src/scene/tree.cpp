@@ -12,6 +12,7 @@ SceneTree::SceneTree() {
   SceneNode root;
   root.id = kRootNode;
   root.name = "root";
+  root.stamp = next_node_stamp();
   nodes_.emplace(kRootNode, std::move(root));
 }
 
@@ -22,6 +23,7 @@ Status SceneTree::add_node(NodeId parent, SceneNode node) {
   if (parent_it == nodes_.end()) return make_error("add_node: unknown parent");
   node.parent = parent;
   node.children.clear();
+  node.stamp = next_node_stamp();
   parent_it->second.children.push_back(node.id);
   bump_next_id(node.id);
   nodes_.emplace(node.id, std::move(node));
@@ -79,6 +81,7 @@ Status SceneTree::set_transform(NodeId id, const Mat4& transform) {
   auto it = nodes_.find(id);
   if (it == nodes_.end()) return make_error("set_transform: unknown node");
   it->second.transform = transform;
+  it->second.stamp = next_node_stamp();
   return {};
 }
 
@@ -86,6 +89,7 @@ Status SceneTree::set_payload(NodeId id, NodePayload payload) {
   auto it = nodes_.find(id);
   if (it == nodes_.end()) return make_error("set_payload: unknown node");
   it->second.payload = std::move(payload);
+  it->second.stamp = next_node_stamp();
   return {};
 }
 
@@ -93,6 +97,7 @@ Status SceneTree::set_name(NodeId id, std::string name) {
   auto it = nodes_.find(id);
   if (it == nodes_.end()) return make_error("set_name: unknown node");
   it->second.name = std::move(name);
+  it->second.stamp = next_node_stamp();
   return {};
 }
 
@@ -103,7 +108,9 @@ const SceneNode* SceneTree::find(NodeId id) const {
 
 SceneNode* SceneTree::find_mutable(NodeId id) {
   auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : &it->second;
+  if (it == nodes_.end()) return nullptr;
+  it->second.stamp = next_node_stamp();  // the caller is about to mutate it
+  return &it->second;
 }
 
 NodeId SceneTree::find_by_name(const std::string& name) const {

@@ -40,12 +40,15 @@ class SceneTree {
   // Move a subtree under a new parent; refuses cycles.
   util::Status reparent(NodeId id, NodeId new_parent);
 
+  // Each mutator below, and add_node, renews the touched node's stamp.
   util::Status set_transform(NodeId id, const Mat4& transform);
   util::Status set_payload(NodeId id, NodePayload payload);
   util::Status set_name(NodeId id, std::string name);
 
   [[nodiscard]] bool contains(NodeId id) const { return nodes_.count(id) != 0; }
   [[nodiscard]] const SceneNode* find(NodeId id) const;
+  // Renews the node's stamp (node.hpp): mutate through the pointer before
+  // the tree is next read.
   [[nodiscard]] SceneNode* find_mutable(NodeId id);
   [[nodiscard]] NodeId find_by_name(const std::string& name) const;
 

@@ -21,6 +21,12 @@ class Clock {
   virtual void wait_until(double t) = 0;
 
   void sleep_for(double seconds) { wait_until(now() + seconds); }
+
+  // Charge modelled time: work the modelled 2004 device would spend that
+  // this host does not perform (a thin client's pixel unpack). A virtual
+  // clock waits it out like sleep_for; a real clock ignores it, since no
+  // host time is spent.
+  virtual void charge(double seconds) { sleep_for(seconds); }
 };
 
 // Monotonic wall-clock time.
@@ -29,6 +35,7 @@ class RealClock final : public Clock {
   RealClock();
   [[nodiscard]] double now() const override;
   void wait_until(double t) override;
+  void charge(double /*seconds*/) override {}
 
  private:
   double epoch_ = 0.0;

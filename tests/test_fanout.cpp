@@ -687,6 +687,45 @@ TEST(FanoutPull, LateReplyToAnEarlierRequestIsDropped) {
   EXPECT_DOUBLE_EQ(client.last_stats().render_seconds, 0.125);
 }
 
+// The thin client's modelled 2004 unpack is reported in client_seconds
+// and charged to a virtual clock, but a real clock is never slept: here
+// the profile's rate models 2 s for a 40x30 frame.
+TEST(FanoutPull, ModelledUnpackAdvancesVirtualTimeOnly) {
+  util::RealClock real_clock;
+  util::SimClock virtual_clock;
+  for (util::Clock* clock : {static_cast<util::Clock*>(&real_clock),
+                             static_cast<util::Clock*>(&virtual_clock)}) {
+    InProcFabric fabric(*clock);
+    net::ChannelPtr server;
+    auto access = fabric.listen("svc", [&](net::ChannelPtr ch) { server = std::move(ch); });
+    ASSERT_TRUE(access.ok()) << access.error();
+    sim::MachineProfile profile = sim::zaurus_pda();
+    profile.pixel_unpack_rate = 40.0 * 30.0 / 2.0;
+    ThinClient client(*clock, fabric, profile);
+    ASSERT_TRUE(client.connect(access.value(), "demo").ok());
+    FrameStreamPublisher publisher;
+    FrameStreamPublisher::FramePtr pulled;
+    const Image frame = test_image(40, 30, 4);
+    const auto pump = [&] {
+      if (server == nullptr) return;
+      while (auto msg = server->try_receive())
+        if (auto request = decode_frame_request(*msg); request.ok())
+          (void)publisher.answer_pull(frame, request.value(), 0.0, *server, pulled);
+    };
+    const util::RealClock wall;  // starts at 0
+    auto got = client.request_frame(scene::Camera{}, 40, 30, 5.0, pump);
+    const double elapsed = wall.now();
+    ASSERT_TRUE(got.ok()) << got.error();
+    EXPECT_DOUBLE_EQ(client.last_stats().client_seconds, 2.0);
+    EXPECT_LT(elapsed, 1.0);  // no real sleep on either clock
+    if (clock == &virtual_clock) {
+      EXPECT_GE(client.last_stats().total_latency, 2.0);
+    } else {
+      EXPECT_LT(client.last_stats().total_latency, 1.0);
+    }
+  }
+}
+
 // Satellite guard: a stream subscription's channel carries pushed frames,
 // and a pull would silently consume them — request_frame refuses instead.
 TEST(FanoutPull, RequestAfterSubscribeStreamIsAnError) {

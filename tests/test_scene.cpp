@@ -3,6 +3,7 @@
 
 #include "scene/camera.hpp"
 #include "scene/node.hpp"
+#include "scene/serialize.hpp"
 #include "scene/tree.hpp"
 
 namespace rave::scene {
@@ -139,6 +140,54 @@ TEST(SceneTree, WorldBoundsTransformsGeometry) {
   const Aabb bounds = tree.world_bounds();
   EXPECT_NEAR(bounds.lo.x, 10.0f, 1e-5f);
   EXPECT_NEAR(bounds.hi.x, 11.0f, 1e-5f);
+}
+
+TEST(SceneStamp, EveryMutatorRenewsTheTouchedNode) {
+  SceneTree tree;
+  const NodeId group = tree.add_child(kRootNode, "group");
+  const NodeId mesh = tree.add_child(group, "mesh", small_triangle());
+  const uint64_t root0 = tree.root().stamp;
+  const uint64_t group0 = tree.find(group)->stamp;
+  uint64_t last = tree.find(mesh)->stamp;
+  EXPECT_NE(root0, 0u);
+  EXPECT_NE(group0, last);
+  const auto renewed = [&] {
+    const uint64_t now = tree.find(mesh)->stamp;
+    const bool fresh = now != last && now != root0 && now != group0;
+    last = now;
+    return fresh;
+  };
+  ASSERT_TRUE(tree.set_transform(mesh, Mat4::translate({1, 0, 0})).ok());
+  EXPECT_TRUE(renewed());
+  ASSERT_TRUE(tree.set_payload(mesh, small_triangle()).ok());
+  EXPECT_TRUE(renewed());
+  ASSERT_TRUE(tree.set_name(mesh, "renamed").ok());
+  EXPECT_TRUE(renewed());
+  ASSERT_NE(tree.find_mutable(mesh), nullptr);
+  EXPECT_TRUE(renewed());
+  EXPECT_EQ(tree.find(group)->stamp, group0);  // only the touched node
+  EXPECT_EQ(tree.root().stamp, root0);
+
+  // A copy is the same content at the same stamps; a deserialized tree is
+  // new nodes, so new stamps — stamps are never on the wire.
+  const SceneTree copy = tree;
+  EXPECT_EQ(copy.find(mesh)->stamp, last);
+  auto decoded = deserialize_tree(serialize_tree(tree));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_NE(decoded.value().find(mesh)->stamp, last);
+  EXPECT_EQ(serialize_tree(decoded.value()), serialize_tree(tree));
+}
+
+TEST(SceneStamp, LocalBoundsFollowEditsThroughFindMutable) {
+  SceneTree tree;
+  const NodeId mesh = tree.add_child(kRootNode, "mesh", small_triangle());
+  EXPECT_EQ(tree.find(mesh)->local_bounds().hi, (Vec3{1, 1, 0}));
+  EXPECT_EQ(tree.find(mesh)->local_bounds().hi, (Vec3{1, 1, 0}));  // memoized
+  std::get<MeshData>(tree.find_mutable(mesh)->payload).positions[1] = {3, 0, 2};
+  EXPECT_EQ(tree.find(mesh)->local_bounds().hi, (Vec3{3, 1, 2}));
+  ASSERT_TRUE(tree.set_payload(mesh, small_triangle()).ok());
+  EXPECT_EQ(tree.find(mesh)->local_bounds().hi, (Vec3{1, 1, 0}));
+  EXPECT_EQ(tree.world_bounds().hi, (Vec3{1, 1, 0}));
 }
 
 TEST(VoxelGrid, TrilinearSampleInterpolates) {

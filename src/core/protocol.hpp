@@ -128,7 +128,10 @@ struct TileAssignMsg {
   scene::Camera camera;
   render::Tile tile;
   int frame_width = 0, frame_height = 0;
-  uint64_t generation = 0;  // camera/scene generation, for matching results
+  // The requester's dispatch sequence, echoed in the TileResult; the
+  // requester maps it back to the view (camera, size, tile, scene
+  // generation) it asked for.
+  uint64_t generation = 0;
 };
 
 struct TileResultMsg {

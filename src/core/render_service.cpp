@@ -1,6 +1,7 @@
 #include "core/render_service.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "obs/event.hpp"
@@ -183,8 +184,7 @@ size_t RenderService::pump_replica(Replica& replica) {
       case kMsgAssistGrant: {
         auto grant = decode_assist_grant(*msg);
         if (!grant.ok()) break;
-        (void)setup_remotes(replica, grant.value().access_points, /*tile_mode=*/true,
-                            default_frame_width_, default_frame_height_);
+        (void)setup_remotes(replica, grant.value().access_points, /*tile_mode=*/true);
         break;
       }
       case kMsgRefusal: {
@@ -310,7 +310,8 @@ size_t RenderService::pump_peers() {
       }
     }
   }
-  // Results from peers we recruited: cache the latest buffer per remote.
+  // Results from peers we recruited: hold the latest one that answers a
+  // recorded dispatch.
   for (auto& [name, replica] : replicas_) {
     for (RemoteTile& remote : replica.remotes) {
       if (!remote.channel) continue;
@@ -318,16 +319,7 @@ size_t RenderService::pump_peers() {
         auto msg = remote.channel->try_receive();
         if (!msg.has_value()) break;
         ++handled;
-        if (msg->type != kMsgTileResult) continue;
-        auto result = decode_tile_result(*msg);
-        if (!result.ok()) continue;
-        auto buffer = render::FrameBuffer::deserialize(result.value().framebuffer);
-        if (!buffer.ok()) continue;
-        remote.tile = result.value().tile;
-        remote.buffer = std::move(buffer).take();
-        remote.generation = result.value().generation;
-        remote.valid = true;
-        remote.awaiting = false;  // assistant proved alive
+        take_result(remote, *msg);
       }
     }
     prune_dead_remotes(replica);
@@ -456,6 +448,82 @@ Result<render::FrameBuffer> RenderService::render_console(const std::string& ses
   return render_local(*replica, camera, width, height, render::Tile{0, 0, width, height});
 }
 
+namespace {
+
+// Bit-for-bit equality: -0 and +0 are different camera inputs.
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+}  // namespace
+
+bool RenderService::same_view(const TileView& a, const TileView& b) {
+  return same_bits(a.camera.eye, b.camera.eye) && same_bits(a.camera.target, b.camera.target) &&
+         same_bits(a.camera.up, b.camera.up) && same_bits(a.camera.fov_y_deg, b.camera.fov_y_deg) &&
+         same_bits(a.camera.znear, b.camera.znear) && same_bits(a.camera.zfar, b.camera.zfar) &&
+         a.width == b.width && a.height == b.height && a.tile == b.tile &&
+         a.generation == b.generation;
+}
+
+void RenderService::dispatch(Replica& replica, RemoteTile& remote, const TileView& view) {
+  if (!remote.channel || remote.in_flight.size() >= kMaxInFlight) return;
+  TileAssignMsg assign;
+  assign.session = replica.name;
+  assign.camera = view.camera;
+  assign.frame_width = view.width;
+  assign.frame_height = view.height;
+  assign.tile = view.tile;
+  assign.generation = ++replica.dispatch_sequence;
+  net::Message wire = encode(assign);
+  stamp_trace(wire);
+  const Status sent = remote.channel->send(std::move(wire));
+  if (!sent.ok()) {
+    obs::log_event(util::LogLevel::Warn, "render", "tile_dispatch_failed",
+                   remote.access_point + ": " + sent.error());
+    return;  // pruned on the next frame; local render covers the tile
+  }
+  remote.in_flight.push_back({assign.generation, view, clock_->now()});
+}
+
+void RenderService::take_result(RemoteTile& remote, const net::Message& msg) {
+  if (msg.type != kMsgTileResult) return;
+  auto result = decode_tile_result(msg);
+  if (!result.ok()) return;
+  const auto answered =
+      std::find_if(remote.in_flight.begin(), remote.in_flight.end(),
+                   [&](const Dispatch& d) { return d.sequence == result.value().generation; });
+  if (answered == remote.in_flight.end() || !(answered->view.tile == result.value().tile))
+    return;
+  auto buffer = render::FrameBuffer::deserialize(result.value().framebuffer);
+  if (!buffer.ok() || buffer.value().width() != answered->view.tile.width ||
+      buffer.value().height() != answered->view.tile.height)
+    return;
+  remote.held = true;
+  remote.held_view = answered->view;
+  remote.buffer = std::move(buffer).take();
+  // One channel keeps order: earlier dispatches will not be answered.
+  remote.in_flight.erase(remote.in_flight.begin(), answered + 1);
+}
+
+bool RenderService::await_view(RemoteTile& remote, const TileView& view,
+                               std::chrono::steady_clock::time_point deadline) {
+  const auto fresh = [&] { return remote.held && same_view(remote.held_view, view); };
+  const auto dispatched = [&] {
+    return std::any_of(remote.in_flight.begin(), remote.in_flight.end(),
+                       [&](const Dispatch& d) { return same_view(d.view, view); });
+  };
+  while (!fresh() && dispatched()) {
+    const double left =
+        std::chrono::duration<double>(deadline - std::chrono::steady_clock::now()).count();
+    if (left <= 0) break;
+    auto msg = remote.channel->receive_result(left);
+    if (!msg.ok()) break;
+    take_result(remote, msg.value());
+  }
+  return fresh();
+}
+
 Result<render::FrameBuffer> RenderService::render_distributed(const std::string& session,
                                                               const Camera& camera, int width,
                                                               int height) {
@@ -464,86 +532,80 @@ Result<render::FrameBuffer> RenderService::render_distributed(const std::string&
     return make_error("render: session not bootstrapped: " + session);
 
   // Failure detection before dispatch: drop assistants whose channel died
-  // or whose pending tile timed out. The tile split below is recomputed
+  // or whose oldest dispatch timed out. The tile split below is recomputed
   // over the survivors, so a dead assistant's tile is implicitly
   // re-dispatched (or rendered locally when nobody is left) — the frame
   // always completes, at degraded rate (§3.2.7 graceful degradation).
   prune_dead_remotes(*replica);
 
-  if (replica->remotes.empty())
-    return render_local(*replica, camera, width, height, render::Tile{0, 0, width, height});
+  const render::Tile full{0, 0, width, height};
+  if (replica->remotes.empty() || width <= 0 || height <= 0)
+    return render_local(*replica, camera, width, height, full);
 
-  const uint64_t generation = replica->generation;
-  // Dispatch fresh requests for this camera/generation.
+  // One view per remote, dispatched for this camera and generation.
+  const std::vector<render::Tile> tiles =
+      replica->tile_mode
+          ? render::split_tiles(width, height, static_cast<int>(replica->remotes.size()) + 1)
+          : std::vector<render::Tile>{full};
+  std::vector<TileView> views;
+  views.reserve(replica->remotes.size());
   for (size_t i = 0; i < replica->remotes.size(); ++i) {
-    RemoteTile& remote = replica->remotes[i];
-    if (!remote.channel) continue;
-    TileAssignMsg assign;
-    assign.session = session;
-    assign.camera = camera;
-    assign.frame_width = width;
-    assign.frame_height = height;
-    assign.generation = generation;
-    if (replica->tile_mode) {
-      const auto tiles =
-          render::split_tiles(width, height, static_cast<int>(replica->remotes.size()) + 1);
-      assign.tile = tiles[std::min(i + 1, tiles.size() - 1)];
-    } else {
-      assign.tile = render::Tile{0, 0, width, height};
-    }
-    net::Message assign_wire = encode(assign);
-    stamp_trace(assign_wire);
-    const Status sent = remote.channel->send(std::move(assign_wire));
-    if (!sent.ok()) {
-      obs::log_event(util::LogLevel::Warn, "render", "tile_dispatch_failed",
-                     remote.access_point + ": " + sent.error());
-      continue;  // pruned on the next frame; local render covers the tile
-    }
-    remote.awaiting = true;
-    remote.dispatched_at = clock_->now();
+    views.push_back({camera, width, height, tiles[std::min(i + 1, tiles.size() - 1)],
+                     replica->generation});
+    dispatch(*replica, replica->remotes[i], views.back());
   }
 
-  // Local portion.
-  render::Tile local_region{0, 0, width, height};
-  if (replica->tile_mode) {
-    const auto tiles =
-        render::split_tiles(width, height, static_cast<int>(replica->remotes.size()) + 1);
-    local_region = tiles[0];
-  }
-  render::FrameBuffer frame =
-      render_local(*replica, camera, width, height, render::Tile{0, 0, width, height});
-  obs::ScopedSpan composite_span("composite", options_.profile.name);
-  if (replica->tile_mode) {
-    // Keep only the locally-owned tile; peer tiles overwrite the rest, or
-    // the local rendering stands in until they arrive (bootstrap, §5.5).
-    for (const RemoteTile& remote : replica->remotes) {
-      if (!remote.valid) {
-        ++stats_.locally_covered_tiles;
-        continue;  // local render already covers this region
-      }
-      frame.insert(remote.tile, remote.buffer);
-      ++stats_.remote_tiles_used;
-      if (remote.generation != generation) ++stats_.stale_tiles_used;  // tearing
-    }
-  } else {
-    for (const RemoteTile& remote : replica->remotes) {
-      if (!remote.valid) {
+  if (!replica->tile_mode) {
+    // Subset compositing: a peer's subset cannot be re-rendered here, so
+    // its latest frame is merged whatever view it was rendered for.
+    render::FrameBuffer frame = render_local(*replica, camera, width, height, full);
+    obs::ScopedSpan composite_span("composite", options_.profile.name);
+    for (size_t i = 0; i < replica->remotes.size(); ++i) {
+      const RemoteTile& remote = replica->remotes[i];
+      if (!remote.held) {
         ++stats_.locally_covered_tiles;
         continue;
       }
       (void)render::depth_composite(frame, remote.buffer, options_.pool);
       ++stats_.remote_tiles_used;
-      if (remote.generation != generation) ++stats_.stale_tiles_used;
+      if (!same_view(remote.held_view, views[i])) ++stats_.stale_tiles_used;
     }
+    return frame;
+  }
+
+  // Tile mode: render only the local tile, then give each assistant as long
+  // as that took to deliver its tile for this view.
+  const auto started = std::chrono::steady_clock::now();
+  render::FrameBuffer frame = render_local(*replica, camera, width, height, tiles[0]);
+  double frame_seconds = last_frame_seconds_;
+  const auto rendered = std::chrono::steady_clock::now();
+  const auto deadline = rendered + (rendered - started);
+  std::vector<const RemoteTile*> fresh;
+  for (size_t i = 0; i < replica->remotes.size(); ++i) {
+    RemoteTile& remote = replica->remotes[i];
+    const render::Tile& tile = views[i].tile;
+    if (await_view(remote, views[i], deadline)) {
+      fresh.push_back(&remote);
+      continue;
+    }
+    // No result for this view in time: never present another view's tile.
+    const render::FrameBuffer covered = render_local(*replica, camera, width, height, tile);
+    frame_seconds += last_frame_seconds_;
+    frame.insert(tile, covered.extract(tile));
+    ++stats_.locally_covered_tiles;
+  }
+  last_frame_seconds_ = frame_seconds;
+  obs::ScopedSpan composite_span("composite", options_.profile.name);
+  for (const RemoteTile* remote : fresh) {
+    frame.insert(remote->held_view.tile, remote->buffer);
+    ++stats_.remote_tiles_used;
   }
   return frame;
 }
 
 Status RenderService::setup_remotes(Replica& replica,
                                     const std::vector<std::string>& access_points,
-                                    bool tile_mode, int width, int height) {
-  (void)width;
-  (void)height;
+                                    bool tile_mode) {
   replica.remotes.clear();
   replica.tile_mode = tile_mode;
   for (const std::string& ap : access_points) {
@@ -568,14 +630,14 @@ void RenderService::prune_dead_remotes(Replica& replica) {
   const double now = clock_->now();
   auto dead = [&](const RemoteTile& remote) {
     if (!remote.channel || !remote.channel->is_open()) return true;
-    return options_.tile_timeout > 0 && remote.awaiting &&
-           now - remote.dispatched_at > options_.tile_timeout;
+    return options_.tile_timeout > 0 && !remote.in_flight.empty() &&
+           now - remote.in_flight.front().sent_at > options_.tile_timeout;
   };
   auto it = std::remove_if(
       replica.remotes.begin(), replica.remotes.end(), [&](const RemoteTile& remote) {
         if (!dead(remote)) return false;
         ++stats_.peer_failures;
-        if (remote.awaiting) {
+        if (!remote.in_flight.empty()) {
           ++stats_.tiles_redispatched;
           obs::log_event(util::LogLevel::Warn, "render", "tile_redispatched",
                          "tile of " + remote.access_point + " re-covered for " + replica.name);
@@ -597,16 +659,14 @@ Status RenderService::enable_tile_assist(const std::string& session,
                                          const std::vector<std::string>& assistants) {
   Replica* replica = find_replica(session);
   if (replica == nullptr) return make_error("render: no session " + session);
-  return setup_remotes(*replica, assistants, /*tile_mode=*/true, default_frame_width_,
-                       default_frame_height_);
+  return setup_remotes(*replica, assistants, /*tile_mode=*/true);
 }
 
 Status RenderService::enable_subset_compositing(const std::string& session,
                                                 const std::vector<std::string>& peers) {
   Replica* replica = find_replica(session);
   if (replica == nullptr) return make_error("render: no session " + session);
-  return setup_remotes(*replica, peers, /*tile_mode=*/false, default_frame_width_,
-                       default_frame_height_);
+  return setup_remotes(*replica, peers, /*tile_mode=*/false);
 }
 
 Status RenderService::request_tile_assist(const std::string& session, int tiles_wanted) {

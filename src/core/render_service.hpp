@@ -13,6 +13,7 @@
 // into the final image either way (§3.2.5).
 #pragma once
 
+#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
@@ -63,8 +64,12 @@ class RenderService {
     uint64_t frames_rendered = 0;
     uint64_t peer_tiles_rendered = 0;
     uint64_t remote_tiles_used = 0;
-    uint64_t stale_tiles_used = 0;  // tearing events (fig. 5)
-    uint64_t locally_covered_tiles = 0;  // bootstrap fallback renders
+    // Peer results composited for a view other than the frame's: only the
+    // best-effort subset merge can count one; tile mode never presents one.
+    uint64_t stale_tiles_used = 0;
+    // Assistant tiles rendered here because no result for the frame's view
+    // arrived within the wait (bootstrap, stalled or lost assistant).
+    uint64_t locally_covered_tiles = 0;
     uint64_t updates_applied = 0;
     uint64_t peer_failures = 0;       // assistants lost (closed or timed out)
     uint64_t tiles_redispatched = 0;  // in-flight tiles re-covered after a loss
@@ -109,9 +114,13 @@ class RenderService {
                                                    const scene::Camera& camera, int width,
                                                    int height);
 
-  // Distributed rendering: local portion plus best-effort composition of
-  // the latest peer results; fresh peer requests are dispatched for the
-  // next frame ("local and remote simply rendering best effort", §5.5).
+  // Distributed rendering. Every call dispatches this view to each peer.
+  // Tile mode renders only the first tile here and composites a peer tile
+  // only if it was rendered for this exact view (camera, size, tile, scene
+  // generation): it waits for it at most as long as the local tile took,
+  // then renders the tile locally instead, so no stale tile is presented.
+  // Subset compositing depth-merges the latest peer frames best effort
+  // ("local and remote simply rendering best effort", §5.5).
   util::Result<render::FrameBuffer> render_distributed(const std::string& session,
                                                        const scene::Camera& camera, int width,
                                                        int height);
@@ -196,18 +205,36 @@ class RenderService {
   util::Status renew_advertisements(services::UddiRegistry& registry);
 
  private:
+  // What a peer result was rendered for; equal views give equal pixels.
+  struct TileView {
+    scene::Camera camera;  // compared bit for bit
+    int width = 0, height = 0;
+    render::Tile tile;
+    uint64_t generation = 0;  // the replica's scene generation at dispatch
+  };
+
+  // One TileAssign sent and not yet answered. Its sequence travels as the
+  // message's `generation` and comes back in the TileResult.
+  struct Dispatch {
+    uint64_t sequence = 0;
+    TileView view;
+    double sent_at = 0.0;
+  };
+
   struct RemoteTile {
     std::string access_point;
     net::ChannelPtr channel;
-    render::Tile tile;
+    // Unanswered dispatches, oldest first; at most kMaxInFlight, so a slow
+    // assistant gets no more work (and costs no more memory) until it
+    // answers. Its oldest entry past tile_timeout abandons the assistant.
+    std::deque<Dispatch> in_flight;
+    // The latest accepted result and the view it was rendered for.
+    bool held = false;
+    TileView held_view;
     render::FrameBuffer buffer;
-    uint64_t generation = 0;
-    bool valid = false;
-    // Re-dispatch bookkeeping: a request is in flight until any result
-    // arrives; an assistant silent past tile_timeout is abandoned.
-    bool awaiting = false;
-    double dispatched_at = 0.0;
   };
+  static constexpr size_t kMaxInFlight = 8;
+  static bool same_view(const TileView& a, const TileView& b);
 
   struct Replica {
     std::string name;
@@ -220,6 +247,7 @@ class RenderService {
     LoadTracker tracker;
     double last_report = -1e18;
     uint64_t generation = 1;  // bumped on every applied update
+    uint64_t dispatch_sequence = 0;  // last TileAssign sent for this replica
     // Distribution state.
     bool tile_mode = false;    // disjoint tiles vs full-frame subset merge
     std::vector<RemoteTile> remotes;
@@ -262,8 +290,18 @@ class RenderService {
   Replica* find_replica(const std::string& session);
   [[nodiscard]] const Replica* find_replica(const std::string& session) const;
   util::Status setup_remotes(Replica& replica, const std::vector<std::string>& access_points,
-                             bool tile_mode, int width, int height);
-  // Drop assistants whose channel closed or whose pending tile timed out;
+                             bool tile_mode);
+  // Send `view` to the remote and record the dispatch, unless the record
+  // is full; a failed send records nothing.
+  void dispatch(Replica& replica, RemoteTile& remote, const TileView& view);
+  // Accept `msg` only if it answers a recorded dispatch with that
+  // dispatch's tile; the accepted result becomes the held one.
+  void take_result(RemoteTile& remote, const net::Message& msg);
+  // Wait on the remote's channel until `deadline` for a result rendered
+  // for `view`, if one was dispatched; true when such a result is held.
+  bool await_view(RemoteTile& remote, const TileView& view,
+                  std::chrono::steady_clock::time_point deadline);
+  // Drop assistants whose channel closed or whose oldest dispatch timed out;
   // their tiles fall back to survivors/local on the next dispatch.
   void prune_dead_remotes(Replica& replica);
 
@@ -287,8 +325,6 @@ class RenderService {
   obs::Gauge* delayed_gauge_ = nullptr;
   double last_frame_seconds_ = 0;
   double assist_stall_seconds_ = 0;
-  int default_frame_width_ = 640;
-  int default_frame_height_ = 480;
 };
 
 }  // namespace rave::core

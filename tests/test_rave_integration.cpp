@@ -6,6 +6,7 @@
 
 #include "core/data_service.hpp"
 #include "core/fabric.hpp"
+#include "core/protocol.hpp"
 #include "core/render_service.hpp"
 #include "core/thin_client.hpp"
 #include "mesh/primitives.hpp"
@@ -276,9 +277,10 @@ TEST_F(RaveFixture, TileAssistViaDataService) {
   EXPECT_EQ(frame.value().color(), reference.value().color());
 }
 
-TEST_F(RaveFixture, StalledAssistantProducesStaleTiles) {
-  // Fig. 5: artificially stalling the remote render service yields tiles
-  // from an older generation — the tearing artifact.
+TEST_F(RaveFixture, StalledAssistantTileIsNeverPresented) {
+  // Fig. 5's setup: the remote render service is artificially stalled, so
+  // its reply shows the scene before the move. The paper's frame tears;
+  // the fenced frame renders that tile locally instead.
   SceneTree tree;
   const scene::NodeId ball =
       tree.add_child(kRootNode, "ball", colored_sphere({0.9f, 0.2f, 0.2f}, 20));
@@ -300,8 +302,119 @@ TEST_F(RaveFixture, StalledAssistantProducesStaleTiles) {
                                              ball, util::Mat4::translate({2, 0, 0}))).ok());
   clock_.advance(11.0);  // stalled reply becomes deliverable
   pump_all();
+  const RenderService::Stats before = main.stats();
+  auto frame = main.render_distributed("demo", cam, 64, 64);
+  ASSERT_TRUE(frame.ok());
+  auto reference = main.render_console("demo", cam, 64, 64);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(frame.value().color(), reference.value().color());
+  EXPECT_EQ(main.stats().stale_tiles_used, 0u);
+  EXPECT_EQ(main.stats().locally_covered_tiles - before.locally_covered_tiles, 1u);
+  EXPECT_EQ(main.stats().remote_tiles_used, before.remote_tiles_used);
+}
+
+TEST_F(RaveFixture, HeldTileOfAnotherCameraIsNotComposited) {
+  // The assistant's result for camera A is held when the frame for camera
+  // B is rendered; nobody pumps the assistant in between, so B's own
+  // result cannot arrive and B's frame must not show A's tile.
+  SceneTree tree;
+  tree.add_child(kRootNode, "ball", colored_sphere({0.2f, 0.7f, 0.9f}, 20));
+  ASSERT_TRUE(data_.create_session("demo", std::move(tree)).ok());
+  RenderService& main = add_render("main");
+  RenderService& helper = add_render("helper");
+  ASSERT_TRUE(main.connect_session(data_ap_, "demo").ok());
+  ASSERT_TRUE(helper.connect_session(data_ap_, "demo").ok());
+  pump_all();
+  ASSERT_TRUE(main.enable_tile_assist("demo", {helper.peer_access_point()}).ok());
+
+  Camera a;
+  a.eye = {0, 0, 3};
+  Camera b;
+  b.eye = {1.5f, 0.5f, 2.5f};
+  (void)main.render_distributed("demo", a, 64, 64);
+  pump_all();  // the helper answers A; main holds that result
+  const RenderService::Stats before = main.stats();
+  auto frame = main.render_distributed("demo", b, 64, 64);
+  ASSERT_TRUE(frame.ok());
+  auto reference = main.render_console("demo", b, 64, 64);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(frame.value().color(), reference.value().color());
+  EXPECT_EQ(main.stats().locally_covered_tiles, before.locally_covered_tiles + 1);
+  EXPECT_EQ(main.stats().remote_tiles_used, before.remote_tiles_used);
+  EXPECT_EQ(main.stats().stale_tiles_used, 0u);
+
+  // A held result for the frame's own view is composited without a wait.
+  pump_all();  // the helper answers B
+  auto again = main.render_distributed("demo", b, 64, 64);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().color(), reference.value().color());
+  EXPECT_EQ(main.stats().remote_tiles_used, before.remote_tiles_used + 1);
+}
+
+TEST_F(RaveFixture, ForgedTileResultsAreNeverComposited) {
+  // A scripted assistant answers the dispatch with a sequence that was
+  // never sent and with a tile other than the one assigned, both filled
+  // with a colour the scene cannot produce. Neither may reach a frame; a
+  // genuine answer to the latest dispatch is composited.
+  SceneTree tree;
+  tree.add_child(kRootNode, "ball", colored_sphere({0.9f, 0.9f, 0.2f}, 20));
+  ASSERT_TRUE(data_.create_session("demo", std::move(tree)).ok());
+  RenderService& main = add_render("main");
+  ASSERT_TRUE(main.connect_session(data_ap_, "demo").ok());
+  pump_all();
+  net::ChannelPtr fake;
+  auto fake_ap = fabric_.listen("fake/peer", [&](net::ChannelPtr ch) { fake = std::move(ch); });
+  ASSERT_TRUE(fake_ap.ok());
+  ASSERT_TRUE(main.enable_tile_assist("demo", {fake_ap.value()}).ok());
+  ASSERT_NE(fake, nullptr);
+
+  Camera cam;
+  cam.eye = {0.3f, 0.2f, 3};
+  auto reference = main.render_console("demo", cam, 64, 64);
+  ASSERT_TRUE(reference.ok());
+  const auto next_assign = [&] {
+    auto msg = fake->try_receive();
+    EXPECT_TRUE(msg.has_value());
+    return msg.has_value() ? decode_tile_assign(*msg).value() : TileAssignMsg{};
+  };
+  const auto send_result = [&](uint64_t sequence, const render::Tile& tile,
+                               const render::FrameBuffer& pixels) {
+    TileResultMsg result;
+    result.tile = tile;
+    result.generation = sequence;
+    result.framebuffer = pixels.serialize();
+    ASSERT_TRUE(fake->send(encode(result)).ok());
+  };
+  const auto magenta = [](const render::Tile& tile) {
+    render::FrameBuffer fb(tile.width, tile.height);
+    for (int y = 0; y < tile.height; ++y) fb.fill_color_row(0, y, tile.width, 255, 0, 255);
+    return fb;
+  };
+
   (void)main.render_distributed("demo", cam, 64, 64);
-  EXPECT_GT(main.stats().stale_tiles_used, 0u);  // tearing observed
+  const TileAssignMsg first = next_assign();
+  const render::Tile other = render::split_tiles(64, 64, 2)[0];
+  ASSERT_FALSE(other == first.tile);
+  send_result(first.generation + 100, first.tile, magenta(first.tile));  // never dispatched
+  send_result(first.generation, other, magenta(other));                  // wrong tile
+  pump_all();
+
+  const RenderService::Stats before = main.stats();
+  auto frame = main.render_distributed("demo", cam, 64, 64);
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(frame.value().color(), reference.value().color());
+  EXPECT_EQ(main.stats().remote_tiles_used, before.remote_tiles_used);
+  EXPECT_EQ(main.stats().locally_covered_tiles, before.locally_covered_tiles + 1);
+
+  // Positive control: the same channel's genuine answer is taken in.
+  const TileAssignMsg second = next_assign();
+  send_result(second.generation, second.tile, reference.value().extract(second.tile));
+  pump_all();
+  auto fenced = main.render_distributed("demo", cam, 64, 64);
+  ASSERT_TRUE(fenced.ok());
+  EXPECT_EQ(fenced.value().color(), reference.value().color());
+  EXPECT_EQ(main.stats().remote_tiles_used, before.remote_tiles_used + 1);
+  EXPECT_EQ(main.stats().stale_tiles_used, 0u);
 }
 
 TEST_F(RaveFixture, MigrationMovesWorkFromOverloaded) {

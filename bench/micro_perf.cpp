@@ -193,6 +193,22 @@ void BM_FrameClear(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameClear)->Args({640, 0})->Args({640, 1});
 
+// The publisher's per-frame content hashing: every 64-px tile of a 640x480
+// frame, then the whole-frame hash FrameEnd carries. The kernel is plain
+// scalar code, so the SIMD level in the label only records the host.
+void BM_HashTiles(benchmark::State& state) {
+  const scene::Camera cam = scene::Camera::framing(elle_tree().world_bounds());
+  const render::Image frame = render::render_tree(elle_tree(), cam, 640, 480).to_image();
+  const std::vector<render::Tile> grid = render::tile_grid(frame.width, frame.height, 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(render::hash_tiles(frame, grid));
+    benchmark::DoNotOptimize(render::hash_image(frame));
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * static_cast<int64_t>(frame.byte_size()));
+  state.SetLabel(util::simd_level_name(util::active_simd_level()));
+}
+BENCHMARK(BM_HashTiles);
+
 void BM_SceneSerialize(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(scene::serialize_tree(elle_tree()));

@@ -50,16 +50,35 @@ uint64_t EncodedImage::content_hash() const {
   return util::fnv1a(h, data.data(), data.size());
 }
 
-Result<EncodedImage> EncodedImage::deserialize(std::span<const uint8_t> bytes) {
+namespace {
+// serialize()'s layout read in place: every field but the payload goes
+// into `header`; the payload comes back as a view into `bytes`.
+Result<std::span<const uint8_t>> read_serialized(std::span<const uint8_t> bytes,
+                                                 EncodedImage& header) {
   util::ByteReader r(bytes);
-  EncodedImage out;
-  out.codec = static_cast<CodecKind>(r.u8());
-  out.keyframe = r.u8() != 0;
-  out.width = r.u16();
-  out.height = r.u16();
-  out.data = r.bytes();
+  header.codec = static_cast<CodecKind>(r.u8());
+  header.keyframe = r.u8() != 0;
+  header.width = r.u16();
+  header.height = r.u16();
+  const std::span<const uint8_t> data = r.view();
   if (!r.ok()) return make_error("encoded image: truncated");
+  return data;
+}
+}  // namespace
+
+Result<EncodedImage> EncodedImage::deserialize(std::span<const uint8_t> bytes) {
+  EncodedImage out;
+  const auto data = read_serialized(bytes, out);
+  if (!data.ok()) return make_error(data.error());
+  out.data.assign(data.value().begin(), data.value().end());
   return out;
+}
+
+Result<CodecKind> EncodedImage::peek_codec(std::span<const uint8_t> bytes) {
+  EncodedImage header;
+  const auto data = read_serialized(bytes, header);
+  if (!data.ok()) return make_error(data.error());
+  return header.codec;
 }
 
 namespace {

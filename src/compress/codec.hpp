@@ -48,6 +48,9 @@ struct EncodedImage {
 
   [[nodiscard]] std::vector<uint8_t> serialize() const;
   static util::Result<EncodedImage> deserialize(std::span<const uint8_t> bytes);
+  // The codec of a serialize()d image, read in place without copying the
+  // payload; fails on exactly what deserialize() rejects.
+  static util::Result<CodecKind> peek_codec(std::span<const uint8_t> bytes);
 };
 
 class ImageCodec {

@@ -240,8 +240,17 @@ FrameStreamReceiver::FrameStreamReceiver(net::ChannelPtr channel, QualityClass q
       options_(options),
       store_(options.tile_store_capacity) {}
 
+bool FrameStreamReceiver::fits(uint16_t index, const Image& tile) const {
+  if (index >= assembly_.grid.size()) return false;
+  const render::Tile& slot = assembly_.grid[index];
+  return tile.width == slot.width && tile.height == slot.height;
+}
+
 void FrameStreamReceiver::place(uint16_t index, const Image& tile) {
-  if (index >= assembly_.filled.size() || assembly_.filled[index]) return;
+  // Image::insert clips silently, so a tile of another shape would leave
+  // part of the slot unpainted (or another tile's pixels in it), and Pda
+  // frames have no frame hash to catch that.
+  if (!fits(index, tile) || assembly_.filled[index]) return;
   assembly_.image.insert(assembly_.grid[index], tile);
   assembly_.filled[index] = true;
   ++assembly_.filled_count;
@@ -271,12 +280,14 @@ void FrameStreamReceiver::handle(const net::Message& msg) {
       if (!ref.ok()) return;
       stats_.bytes_received += msg.wire_size();
       if (!assembly_.active || ref.value().frame_id != assembly_.begin.frame_id) return;
-      if (const Image* tile = store_.lookup(ref.value().hash)) {
+      const Image* tile = store_.lookup(ref.value().hash);
+      if (tile != nullptr && fits(ref.value().tile_index, *tile)) {
         place(ref.value().tile_index, *tile);
         ++stats_.refs_resolved;
       } else {
-        // Full-tile fallback: ask upstream; any relay holding the content
-        // answers before the publisher has to.
+        // Full-tile fallback (the store lacks the content, or holds a tile
+        // of another shape under its hash): ask upstream; any relay holding
+        // the content answers before the publisher has to.
         assembly_.pending.insert({ref.value().hash, ref.value().tile_index});
         (void)channel_->send(encode(TileMissMsg{ref.value().hash, ref.value().frame_id,
                                                 ref.value().tile_index, quality_}));
@@ -285,7 +296,7 @@ void FrameStreamReceiver::handle(const net::Message& msg) {
       return;
     }
     case kMsgTileData: {
-      const auto data = decode_tile_data(msg);
+      const auto data = view_tile_data(msg);
       if (!data.ok()) return;
       stats_.bytes_received += msg.wire_size();
       // Parent the decode under the context the message carried — the
@@ -293,6 +304,10 @@ void FrameStreamReceiver::handle(const net::Message& msg) {
       obs::ScopedSpan decode_span("decode", receiver_host(), trace_of(msg));
       const auto encoded = compress::EncodedImage::deserialize(data.value().encoded);
       if (!encoded.ok()) return;
+      // Every sender encodes a class's tiles with that class's codec; a tile
+      // in another codec is not this stream's content, and storing it would
+      // let later refs to its hash resolve to it.
+      if (encoded.value().codec != compress::codec_for_quality(quality_)) return;
       auto decoded =
           compress::make_codec(encoded.value().codec)->decode(encoded.value(), nullptr);
       if (!decoded.ok()) return;
@@ -425,20 +440,22 @@ uint64_t cache_key(uint64_t hash, compress::CodecKind codec) {
 
 void RelayTileCache::remember(const net::Message& msg) {
   if (msg.type != kMsgTileData) return;
-  const auto data = decode_tile_data(msg);
+  // Runs before every forward: read the hash and codec in place, copying
+  // the message only when it becomes a cache entry.
+  const auto data = view_tile_data(msg);
   if (!data.ok()) return;
-  const auto encoded = compress::EncodedImage::deserialize(data.value().encoded);
-  if (!encoded.ok()) return;
-  const uint64_t key = cache_key(data.value().hash, encoded.value().codec);
+  const auto codec = compress::EncodedImage::peek_codec(data.value().encoded);
+  if (!codec.ok()) return;
+  const uint64_t key = cache_key(data.value().hash, codec.value());
   if (auto found = entries_.find(key); found != entries_.end()) {
     lru_.splice(lru_.begin(), lru_, found->second);
     return;
   }
-  lru_.push_front(Entry{key, encoded.value().codec, msg});
+  lru_.push_front(Entry{key, msg});
   entries_[key] = lru_.begin();
   ++stats_.cached;
   while (entries_.size() > capacity_) {
-    entries_.erase(lru_.back().hash);
+    entries_.erase(lru_.back().key);
     lru_.pop_back();
   }
 }

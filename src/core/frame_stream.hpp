@@ -202,6 +202,9 @@ class FrameStreamReceiver {
   // Frame-age gauge, delivery histograms, the assemble span, and the
   // late-frame post-mortem — runs once per completed frame.
   void observe_completion();
+  // Whether `tile` has the shape of grid slot `index`; place() skips a
+  // tile that does not, and a stored tile that does not is a store miss.
+  [[nodiscard]] bool fits(uint16_t index, const render::Image& tile) const;
   void place(uint16_t index, const render::Image& tile);
   [[nodiscard]] bool complete() const {
     return assembly_.active && assembly_.have_end &&
@@ -244,8 +247,7 @@ class RelayTileCache {
   std::optional<net::Message> serve(const net::Message& msg);
 
   struct Entry {
-    uint64_t hash = 0;
-    compress::CodecKind codec = compress::CodecKind::Raw;
+    uint64_t key = 0;      // cache_key(tile hash, codec)
     net::Message message;  // the TileData message, replayable verbatim
   };
 

@@ -440,16 +440,16 @@ net::Message encode_tile_data(uint32_t frame_id, uint16_t tile_index, const rend
   return {kMsgTileData, w.take(), std::move(encoded)};
 }
 
-Result<TileDataMsg> decode_tile_data(const net::Message& msg) {
+Result<TileDataView> view_tile_data(const net::Message& msg) {
   auto reader = open(msg, kMsgTileData);
   if (!reader.ok()) return make_error(reader.error());
   ByteReader& r = reader.value();
-  TileDataMsg out;
+  TileDataView out;
   out.frame_id = r.u32();
   out.tile_index = r.u16();
   out.tile = read_tile(r);
   out.hash = r.u64();
-  out.encoded = r.bytes();
+  out.encoded = r.view();
   if (!r.ok()) return make_error("protocol: truncated tile data");
   return out;
 }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -248,7 +249,16 @@ util::Result<AssistGrantMsg> decode_assist_grant(const net::Message& msg);
 util::Result<StreamSubscribeMsg> decode_stream_subscribe(const net::Message& msg);
 util::Result<FrameBeginMsg> decode_frame_begin(const net::Message& msg);
 util::Result<TileRefMsg> decode_tile_ref(const net::Message& msg);
-util::Result<TileDataMsg> decode_tile_data(const net::Message& msg);
+// TileData is read in place, without copying the encoded tile: `encoded`
+// views into msg.payload, so the view lives only as long as `msg`.
+struct TileDataView {
+  uint32_t frame_id = 0;
+  uint16_t tile_index = 0;
+  render::Tile tile;
+  uint64_t hash = 0;
+  std::span<const uint8_t> encoded;
+};
+util::Result<TileDataView> view_tile_data(const net::Message& msg);
 util::Result<FrameEndMsg> decode_frame_end(const net::Message& msg);
 util::Result<TileMissMsg> decode_tile_miss(const net::Message& msg);
 

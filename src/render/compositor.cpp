@@ -92,13 +92,11 @@ Status blend_ordered(Image& dst, std::vector<BlendLayer> layers) {
 }
 
 uint64_t hash_tile(const Image& image, const Tile& tile) {
-  uint64_t h = util::kFnvOffsetBasis;
-  h = util::fnv1a_u32(h, static_cast<uint32_t>(tile.width));
-  h = util::fnv1a_u32(h, static_cast<uint32_t>(tile.height));
-  for (int y = tile.y; y < tile.bottom(); ++y) {
-    h = util::fnv1a(h, image.pixel(tile.x, y), static_cast<size_t>(tile.width) * 3);
-  }
-  return h;
+  util::Xxh64 h((static_cast<uint64_t>(static_cast<uint32_t>(tile.width)) << 32) |
+                static_cast<uint32_t>(tile.height));
+  const size_t row_bytes = static_cast<size_t>(tile.width) * 3;
+  for (int y = tile.y; y < tile.bottom(); ++y) h.update(image.pixel(tile.x, y), row_bytes);
+  return h.digest();
 }
 
 std::vector<uint64_t> hash_tiles(const Image& image, const std::vector<Tile>& tiles) {

@@ -48,11 +48,12 @@ struct BlendLayer {
 // Blend layers over `dst` back-to-front (largest view_distance first).
 util::Status blend_ordered(Image& dst, std::vector<BlendLayer> layers);
 
-// Content addressing for the frame fan-out tier: a stable FNV-1a 64 hash
-// over a tile's pixel bytes (dimensions folded in first, so equal byte
-// runs in different shapes address different content). A pure byte walk —
-// identical across SIMD levels, thread counts and hosts, which is what
-// lets an unchanged tile ship as a 16-byte reference instead of pixels.
+// Content addressing for the frame fan-out tier: XXH64 (util::Xxh64)
+// streamed over a tile's pixel rows, seeded with its (width, height) so
+// equal byte runs in different shapes address different content. Plain
+// scalar integer arithmetic — identical across SIMD levels, thread counts
+// and hosts, which is what lets an unchanged tile ship as a 16-byte
+// reference instead of pixels.
 uint64_t hash_tile(const Image& image, const Tile& tile);
 std::vector<uint64_t> hash_tiles(const Image& image, const std::vector<Tile>& tiles);
 // Whole-image hash (FrameEnd integrity check in the cached-frame stream).

@@ -1,6 +1,7 @@
 #include "render/layer_cache.hpp"
 
 #include <cstring>
+#include <variant>
 
 namespace rave::render {
 
@@ -11,6 +12,40 @@ namespace {
 template <typename T>
 bool same_bits(const T& a, const T& b) {
   return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+// A hit redraws at most this fraction (1/kRedrawShare) of the work in the
+// prefix it restores, beyond the changed suffix itself.
+constexpr uint64_t kRedrawShare = 32;
+
+// Raster work of one item: triangles, or points for a point cloud.
+uint64_t item_work(const RenderList::RasterItem& item) {
+  const scene::NodePayload& payload = item.node->payload;
+  if (const auto* mesh = std::get_if<scene::MeshData>(&payload)) return mesh->triangle_count();
+  if (const auto* pts = std::get_if<scene::PointCloudData>(&payload)) return pts->positions.size();
+  if (const auto* av = std::get_if<scene::AvatarData>(&payload))
+    return scene::make_avatar_mesh(*av).triangle_count();
+  return 0;
+}
+
+// Where a miss whose first `split` items are unchanged takes its snapshot:
+// at the split, backed up over the cheap items just before it (together at
+// most 1/kRedrawShare of the prefix's work). Under a fixed view those are
+// the avatars: each hit redraws them, so a later move of any of them hits
+// too, where a layer ending at the split would miss and re-raster the whole
+// list once for every avatar that moves before the layer's end.
+size_t snapshot_point(const RenderList& list, size_t split) {
+  uint64_t prefix = 0;
+  for (size_t i = 0; i < split; ++i) prefix += item_work(list.raster[i]);
+  size_t point = split;
+  uint64_t redrawn = 0;
+  while (point > 0) {
+    const uint64_t work = item_work(list.raster[point - 1]);
+    if (redrawn + work > prefix / kRedrawShare) break;
+    redrawn += work;
+    --point;
+  }
+  return point;
 }
 
 }  // namespace
@@ -51,7 +86,8 @@ bool LayerCache::draw(Rasterizer& raster, const RenderList& list, const Camera& 
   } else {
     raster.reset_stats();
     raster.clear(options);
-    const size_t split = same(view, last_view_) ? common_prefix(items, last_items_) : 0;
+    const size_t split =
+        same(view, last_view_) ? snapshot_point(list, common_prefix(items, last_items_)) : 0;
     if (split > 0) {
       raster.draw_items(list, 0, split, camera, options);
       layer_ = raster;

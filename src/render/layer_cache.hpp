@@ -16,9 +16,11 @@
 //
 // Snapshot policy: a miss renders the full list and snapshots only when
 // the view (camera, size, region, shading) equals the previous render's,
-// at the first item that differs from the previous render's list. A
-// camera that moves every frame therefore never pays for a copy; a prefix
-// of length 0 is a full render.
+// at the first item that differs from the previous render's list, backed
+// up over the cheap items just before it (at most 1/32 of the prefix's
+// triangles and points), so that a later edit of one of those still hits.
+// A camera that moves every frame therefore never pays for a copy; a
+// prefix of length 0 is a full render.
 #pragma once
 
 #include <cstdint>

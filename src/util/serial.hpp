@@ -138,10 +138,16 @@ class ByteReader {
   }
 
   std::vector<uint8_t> bytes() {
+    const std::span<const uint8_t> v = view();
+    return {v.begin(), v.end()};
+  }
+
+  // The length-prefixed run bytes() copies, as a view into the reader's
+  // input (empty, and ok() false, when truncated).
+  std::span<const uint8_t> view() {
     const uint32_t n = u32();
     if (!check(n)) return {};
-    std::vector<uint8_t> out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-                             data_.begin() + static_cast<ptrdiff_t>(pos_ + n));
+    const std::span<const uint8_t> out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
   }

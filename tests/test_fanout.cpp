@@ -207,10 +207,12 @@ TEST(StreamProtocol, MessagesRoundTrip) {
   data.tile = Tile{64, 128, 64, 64};
   data.hash = 99;
   data.encoded = {1, 2, 3, 4, 5};
-  auto data2 = decode_tile_data(encode(data));
+  const net::Message data_wire = encode(data);
+  auto data2 = view_tile_data(data_wire);
   ASSERT_TRUE(data2.ok());
   EXPECT_EQ(data2.value().tile, data.tile);
-  EXPECT_EQ(data2.value().encoded, data.encoded);
+  EXPECT_EQ(std::vector<uint8_t>(data2.value().encoded.begin(), data2.value().encoded.end()),
+            data.encoded);
 
   FrameEndMsg end{41, 80, 0xfeedfacecafebeefull};
   auto end2 = decode_frame_end(encode(end));
@@ -279,6 +281,63 @@ TEST(FrameStream, PartialChangeShipsOnlyChangedTiles) {
   auto got = pair.receiver->next_frame(clock, 1.0, pair.pump);
   ASSERT_TRUE(got.ok()) << got.error();
   EXPECT_EQ(got.value().rgb, frame.rgb);
+}
+
+// A Pda frame carries no checked frame hash, so the receiver's own guards
+// keep a foreign tile off the screen: a TileData in another class's codec
+// is neither placed nor stored (a later ref to its hash would resolve to
+// it), and a tile whose shape differs from its grid slot is not placed (a
+// ref that finds one in the store asks upstream instead).
+TEST(FrameStream, ForgedPdaTilesNeverReachAPresentedFrame) {
+  util::SimClock clock;
+  FrameStreamOptions options;
+  options.tile_size = 32;
+  FrameStreamPublisher publisher(options);
+  // publisher → test hop → receiver, so forgeries can be slipped in.
+  auto [pub_end, hop_in] = net::make_channel_pair();
+  auto [hop_out, rcv_end] = net::make_channel_pair();
+  publisher.subscribe(pub_end, QualityClass::Pda);
+  FrameStreamReceiver receiver(rcv_end, QualityClass::Pda, options);
+
+  const Image frame = test_image(96, 64, 4);
+  const Tile slot = render::tile_grid(96, 64, 32)[0];
+  const uint64_t slot_hash = render::hash_tile(frame, slot);
+  const auto forged = [&](uint32_t frame_id, CodecKind codec, int size) {
+    Image magenta(size, size);
+    for (int y = 0; y < size; ++y)
+      for (int x = 0; x < size; ++x) magenta.set_pixel(x, y, 255, 0, 255);
+    return encode(TileDataMsg{frame_id, 0, slot, slot_hash,
+                              compress::make_codec(codec)->encode(magenta, nullptr).serialize()});
+  };
+  bool forge = true;
+  const auto pump = [&] {
+    (void)publisher.pump();
+    while (auto msg = hop_in->try_receive()) {
+      std::optional<uint32_t> begun;
+      if (msg->type == kMsgFrameBegin) begun = decode_frame_begin(*msg).value().frame_id;
+      (void)hop_out->send(*std::move(msg));
+      if (begun && forge) {
+        // Ahead of the genuine tile 0: the slot's shape in the lossless
+        // class's codec, then the Pda codec in a smaller shape.
+        (void)hop_out->send(forged(*begun, CodecKind::Rle, slot.width));
+        (void)hop_out->send(forged(*begun, CodecKind::Quantize, 16));
+        forge = false;
+      }
+    }
+    while (auto msg = hop_out->try_receive()) (void)hop_in->send(*std::move(msg));
+  };
+
+  const Image want = full_delivery_reference(frame, QualityClass::Pda, 32);
+  for (int step = 0; step < 2; ++step) {
+    (void)publisher.publish_frame(frame);
+    auto got = receiver.next_frame(clock, 1.0, pump);
+    ASSERT_TRUE(got.ok()) << got.error();
+    EXPECT_EQ(got.value().rgb, want.rgb) << "frame " << step;
+  }
+  EXPECT_FALSE(forge);
+  // The second frame is all refs; tile 0's finds the 16-px forgery under
+  // its hash and resolves through one miss round-trip instead.
+  EXPECT_EQ(receiver.stats().miss_requests, 1u);
 }
 
 TEST(FrameStream, LateJoinerForcesKeyframeForItsClass) {
@@ -424,6 +483,52 @@ TEST(FanoutRelay, ForwardsStreamAndServesMissesFromCache) {
   // The relay's cache absorbed the misses — the publisher never saw them.
   EXPECT_GT(cache.stats().served, 0u);
   EXPECT_EQ(publisher.stats().miss_replies, 0u);
+}
+
+// The relay tap reads a TileData's hash and codec in place. Per class, a
+// miss for a forwarded tile is answered with the byte-identical message,
+// and a TileData truncated in its own framing or inside its encoded image
+// is forwarded but never cached.
+TEST(FanoutRelay, CacheReplaysForwardedTileDataAndSkipsTruncated) {
+  for (const QualityClass quality : {QualityClass::Workstation, QualityClass::Pda}) {
+    SCOPED_TRACE(compress::quality_name(quality));
+    auto [up_srv, up_cli] = net::make_channel_pair();
+    net::FanoutRelay relay(up_cli);
+    RelayTileCache cache(8);
+    cache.attach(relay);
+    auto [sub_srv, sub_cli] = net::make_channel_pair();
+    relay.hub().subscribe(sub_srv);
+
+    const Image pixels = test_image(32, 32, 6);
+    const Tile tile{32, 0, 32, 32};
+    const uint64_t hash = render::hash_image(pixels);
+    const std::vector<uint8_t> image = compress::make_codec(compress::codec_for_quality(quality))
+                                           ->encode(pixels, nullptr)
+                                           .serialize();
+    const net::Message good = encode(TileDataMsg{9, 1, tile, hash, image});
+    net::Message cut_framing = encode(TileDataMsg{9, 1, tile, hash + 1, image});
+    cut_framing.payload.pop_back();
+    const net::Message cut_image =
+        encode(TileDataMsg{9, 1, tile, hash + 2, {image.begin(), image.end() - 1}});
+    for (const net::Message& msg : {good, cut_framing, cut_image}) ASSERT_TRUE(up_srv->send(msg).ok());
+    (void)relay.pump();
+    EXPECT_EQ(relay.stats().forwarded_down, 3u);
+    EXPECT_EQ(cache.stats().cached, 1u);
+    EXPECT_EQ(cache.size(), 1u);
+    while (sub_cli->try_receive()) {
+    }
+
+    for (const uint64_t asked : {hash, hash + 1, hash + 2})
+      ASSERT_TRUE(sub_cli->send(encode(TileMissMsg{asked, 9, 1, quality})).ok());
+    (void)relay.pump();
+    auto reply = sub_cli->try_receive();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, kMsgTileData);
+    EXPECT_EQ(reply->payload, good.payload);
+    EXPECT_FALSE(sub_cli->try_receive().has_value());
+    EXPECT_EQ(cache.stats().served, 1u);
+    EXPECT_EQ(cache.stats().forwarded, 2u);
+  }
 }
 
 TEST(FanoutRelay, RelayDeathMidFrameRecoversWithNoStaleTiles) {

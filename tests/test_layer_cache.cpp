@@ -218,25 +218,34 @@ TEST(LayerReuseCache, FixedViewRedrawsOnlyTheChangedSuffix) {
   const auto draw = [&](Rasterizer& raster) {
     return cache.draw(raster, build_render_list(s.tree, cam, 96.0f / 72.0f), cam, {});
   };
-  Rasterizer first(96, 72), second(96, 72), third(96, 72);
+  obs::Counter& submitted =
+      obs::MetricsRegistry::global().counter("rave_raster_triangles_submitted_total");
+  const uint64_t cone = scene::make_avatar_mesh(avatar("user0")).triangle_count();
+  RenderStats full;
+  Rasterizer first(96, 72), second(96, 72), third(96, 72), fourth(96, 72);
   EXPECT_FALSE(draw(first));  // nothing cached yet
   (void)s.tree.set_transform(s.avatars[2], Mat4::translate({-0.1f, 0.3f, 1.1f}));
-  EXPECT_FALSE(draw(second));  // same view: snapshots the prefix before avatar 2
+  // Same view: snapshots the prefix before avatar 2, backed up over the
+  // cheap avatars 0 and 1 to end after the point cloud.
+  EXPECT_FALSE(draw(second));
   (void)s.tree.set_transform(s.avatars[2], Mat4::translate({0.1f, 0.2f, 1.0f}));
-  const uint64_t before = obs::MetricsRegistry::global()
-                              .counter("rave_raster_triangles_submitted_total")
-                              .value();
+  uint64_t before = submitted.value();
   EXPECT_TRUE(draw(third));
-  // Only the avatar's cone reached the rasterizer; the stats still count
+  // Only the avatars' cones reached the rasterizer; the stats still count
   // the whole list.
-  const uint64_t drawn = obs::MetricsRegistry::global()
-                             .counter("rave_raster_triangles_submitted_total")
-                             .value() -
-                         before;
-  EXPECT_EQ(drawn, scene::make_avatar_mesh(avatar("user2")).triangle_count());
-  RenderStats full;
+  EXPECT_EQ(submitted.value() - before, 3 * cone);
   (void)render_tree(s.tree, cam, 96, 72, {}, &full);
   EXPECT_EQ(third.stats().triangles_submitted, full.triangles_submitted);
+  // Avatar 0 sits before the split the snapshot was taken at, and its
+  // move still hits.
+  (void)s.tree.set_transform(s.avatars[0], Mat4::translate({-0.5f, 0.4f, 1.1f}));
+  before = submitted.value();
+  EXPECT_TRUE(draw(fourth));
+  EXPECT_EQ(submitted.value() - before, 3 * cone);
+  const FrameBuffer want = render_tree(s.tree, cam, 96, 72, {}, &full);
+  EXPECT_EQ(fourth.framebuffer().color(), want.color());
+  EXPECT_EQ(fourth.framebuffer().depth(), want.depth());
+  EXPECT_EQ(fourth.stats().triangles_submitted, full.triangles_submitted);
 }
 
 std::vector<Lane> lanes() {
@@ -312,10 +321,10 @@ TEST(LayerReuseService, AvatarMovesHitAndChargeFullFrames) {
                          sim::volume_march_seconds(profile, 0, 0))
         << "frame " << frame;
   }
-  // Frame 0 has no previous render, frame 1 takes the snapshot; after
-  // that avatar 1's moves hit the layer ending before it, and avatar 0's
-  // moves shrink it once to the big mesh alone.
-  EXPECT_GE(render.stats().layer_hits, 8u);
+  // Frame 0 has no previous render; frame 1 moves avatar 1 and takes the
+  // snapshot, backed up over avatar 0 to the big mesh alone, so every
+  // later move of either avatar hits.
+  EXPECT_EQ(render.stats().layer_hits, 10u);
   EXPECT_EQ(render.stats().layer_hits + render.stats().layer_misses, 12u);
   EXPECT_EQ(hit_counter.value() - hits_before, render.stats().layer_hits);
 }

@@ -68,6 +68,9 @@ const scene::SceneTree& elle_tree() {
   return tree;
 }
 
+// Elle (50 k triangles) rendered to a size x size frame. Arg 1 is the
+// pool's thread count (0 = serial): only vertex shading runs on the pool,
+// triangle setup and raster are serial at every thread count.
 void BM_RasterizeElle(benchmark::State& state) {
   const int size = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
@@ -413,7 +416,7 @@ BENCHMARK(BM_Raycast)
 // Observability overhead: a full Elle 400² frame with tracing disabled
 // (the production default — instruments reduce to relaxed atomic counter
 // adds and one cold load per would-be span) vs force-enabled under a root
-// span (every shade/bin/raster stage recorded). The acceptance budget is
+// span (every shade/raster stage recorded). The acceptance budget is
 // <2% regression for the disabled arm vs the pre-observability build.
 // Arg 0 = tracing off, 1 = tracing on, 2 = central collector scraping
 // this process's registry at 1 Hz of virtual time while frames render at

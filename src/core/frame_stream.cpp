@@ -256,6 +256,15 @@ void FrameStreamReceiver::place(uint16_t index, const Image& tile) {
   ++assembly_.filled_count;
 }
 
+void FrameStreamReceiver::request_tile(uint64_t hash, uint16_t index) {
+  auto [lo, hi] = assembly_.pending.equal_range(hash);
+  for (auto it = lo; it != hi; ++it)
+    if (it->second == index) return;  // already asked
+  assembly_.pending.insert({hash, index});
+  (void)channel_->send(encode(TileMissMsg{hash, assembly_.begin.frame_id, index, quality_}));
+  ++stats_.miss_requests;
+}
+
 void FrameStreamReceiver::handle(const net::Message& msg) {
   switch (msg.type) {
     case kMsgFrameBegin: {
@@ -288,10 +297,7 @@ void FrameStreamReceiver::handle(const net::Message& msg) {
         // Full-tile fallback (the store lacks the content, or holds a tile
         // of another shape under its hash): ask upstream; any relay holding
         // the content answers before the publisher has to.
-        assembly_.pending.insert({ref.value().hash, ref.value().tile_index});
-        (void)channel_->send(encode(TileMissMsg{ref.value().hash, ref.value().frame_id,
-                                                ref.value().tile_index, quality_}));
-        ++stats_.miss_requests;
+        request_tile(ref.value().hash, ref.value().tile_index);
       }
       return;
     }
@@ -311,6 +317,19 @@ void FrameStreamReceiver::handle(const net::Message& msg) {
       auto decoded =
           compress::make_codec(encoded.value().codec)->decode(encoded.value(), nullptr);
       if (!decoded.ok()) return;
+      // A lossless class decodes the source pixels exactly, so the tile
+      // must hash to what the message claims. One that does not (forged or
+      // corrupted) is dropped before it fills a slot or enters the store,
+      // where it would answer every later ref to that hash; its open slot
+      // asks upstream for the genuine content, as an unresolved ref does.
+      if (compress::codec_for_quality(quality_) != compress::CodecKind::Quantize &&
+          render::hash_image(decoded.value()) != data.value().hash) {
+        const uint16_t index = data.value().tile_index;
+        if (assembly_.active && data.value().frame_id == assembly_.begin.frame_id &&
+            index < assembly_.filled.size() && !assembly_.filled[index])
+          request_tile(data.value().hash, index);
+        return;
+      }
       ++stats_.data_tiles;
       if (assembly_.active) {
         if (data.value().frame_id == assembly_.begin.frame_id)

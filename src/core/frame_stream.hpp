@@ -206,6 +206,9 @@ class FrameStreamReceiver {
   // tile that does not, and a stored tile that does not is a store miss.
   [[nodiscard]] bool fits(uint16_t index, const render::Image& tile) const;
   void place(uint16_t index, const render::Image& tile);
+  // Ask upstream for slot `index`'s content (TileMiss); the reply, from
+  // any relay cache or the publisher, fills every slot pending on `hash`.
+  void request_tile(uint64_t hash, uint16_t index);
   [[nodiscard]] bool complete() const {
     return assembly_.active && assembly_.have_end &&
            assembly_.filled_count == assembly_.grid.size();

@@ -573,13 +573,19 @@ Result<render::FrameBuffer> RenderService::render_distributed(const std::string&
     return frame;
   }
 
-  // Tile mode: render only the local tile, then give each assistant as long
-  // as that took to deliver its tile for this view.
+  // Tile mode: render only the local tile, then give each assistant until
+  // one frame period at the target rate has passed since the frame began,
+  // or as long as the local tile took if that ends later. An assistant
+  // that keeps up with the target rate makes every frame however busy the
+  // host's cores are, so which tiles are covered here follows from the
+  // frames asked for, not from timing noise; a lost one costs one period.
   const auto started = std::chrono::steady_clock::now();
   render::FrameBuffer frame = render_local(*replica, camera, width, height, tiles[0]);
   double frame_seconds = last_frame_seconds_;
   const auto rendered = std::chrono::steady_clock::now();
-  const auto deadline = rendered + (rendered - started);
+  const auto period = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(options_.target_fps > 0 ? 1.0 / options_.target_fps : 0.0));
+  const auto deadline = std::max(started + period, rendered + (rendered - started));
   std::vector<const RemoteTile*> fresh;
   for (size_t i = 0; i < replica->remotes.size(); ++i) {
     RemoteTile& remote = replica->remotes[i];

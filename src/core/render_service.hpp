@@ -36,13 +36,14 @@
 #include "services/registry.hpp"
 #include "sim/perf_model.hpp"
 #include "util/clock.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rave::core {
 
 class RenderService {
  public:
-  // Shared fabric knobs (target_fps, thresholds, retry, tile_timeout,
-  // pool) live in ServiceConfig; only render-service-specific ones are
+  // Shared fabric knobs (target_fps, thresholds, retry, tile_timeout)
+  // live in ServiceConfig; only render-service-specific ones are
   // added here. `retry` governs every fabric dial this service
   // makes; `tile_timeout` > 0 abandons unresponsive assistants so their
   // tiles are re-dispatched.
@@ -58,6 +59,10 @@ class RenderService {
     // Frame delivery (tile grid, memo/store capacities) for pulls and
     // StreamSubscribe clients alike.
     FrameStreamOptions stream;
+    // Worker pool for vertex shading, ray casting and compositing: the
+    // process-wide shared pool by default, null = serial. Output is
+    // byte-identical either way.
+    util::ThreadPool* pool = &util::ThreadPool::shared();
   };
 
   struct Stats {
@@ -117,8 +122,10 @@ class RenderService {
   // Distributed rendering. Every call dispatches this view to each peer.
   // Tile mode renders only the first tile here and composites a peer tile
   // only if it was rendered for this exact view (camera, size, tile, scene
-  // generation): it waits for it at most as long as the local tile took,
-  // then renders the tile locally instead, so no stale tile is presented.
+  // generation): it waits for it until one period at target_fps has
+  // passed since the frame began (or as long as the local tile took, if
+  // longer), then renders the tile locally instead, so no stale tile is
+  // presented.
   // Subset compositing depth-merges the latest peer frames best effort
   // ("local and remote simply rendering best effort", §5.5).
   util::Result<render::FrameBuffer> render_distributed(const std::string& session,

@@ -12,14 +12,14 @@
 
 #include "core/capacity.hpp"
 #include "core/failure_detector.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rave::core {
 
 struct ServiceConfig {
   // --- workload ------------------------------------------------------------
   // Interactive frame-rate target; drives polygon budgets for
-  // distribution and migration planning (§3.2.5).
+  // distribution and migration planning (§3.2.5), and one period is how
+  // long a tile-mode frame waits for its assistants' tiles.
   double target_fps = 15.0;
   // Over/underload hysteresis for the smoothed fps tracker (§3.2.7).
   LoadThresholds thresholds{};
@@ -38,11 +38,6 @@ struct ServiceConfig {
   // requester abandons that assistant and re-dispatches its tile;
   // 0 = wait forever.
   double tile_timeout = 0.0;
-
-  // --- resources --------------------------------------------------------------
-  // Worker pool for tile-parallel rasterization/compositing (shared,
-  // null = serial; output is byte-identical either way).
-  util::ThreadPool* pool = nullptr;
 };
 
 }  // namespace rave::core

@@ -177,7 +177,6 @@ const char* metric_help(std::string_view name) {
       {"rave_net_sends_shed_total", "Messages dropped by the write-queue shed policy"},
       {"rave_net_write_queue_bytes", "Bytes queued for send"},
       {"rave_net_write_queue_depth", "Messages queued for send"},
-      {"rave_raster_cell_occupancy", "Triangles binned per raster cell"},
       {"rave_raster_pixels_shaded_total", "Pixels shaded by the rasterizer"},
       {"rave_raster_triangles_clipped_total", "Triangles rejected by clipping"},
       {"rave_raster_triangles_rasterized_total", "Triangles actually rasterized"},

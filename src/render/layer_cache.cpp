@@ -86,8 +86,15 @@ bool LayerCache::draw(Rasterizer& raster, const RenderList& list, const Camera& 
   } else {
     raster.reset_stats();
     raster.clear(options);
-    const size_t split =
-        same(view, last_view_) ? snapshot_point(list, common_prefix(items, last_items_)) : 0;
+    // The first render has nothing to diff against: snapshot the whole
+    // list, backed off over its cheap trailing items, so the first edit
+    // under the same view hits. Later misses snapshot only under an
+    // unchanged view, so an orbiting camera never copies planes.
+    size_t split = 0;
+    if (last_items_.empty())
+      split = snapshot_point(list, list.raster.size());
+    else if (same(view, last_view_))
+      split = snapshot_point(list, common_prefix(items, last_items_));
     if (split > 0) {
       raster.draw_items(list, 0, split, camera, options);
       layer_ = raster;

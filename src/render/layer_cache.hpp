@@ -19,8 +19,10 @@
 // at the first item that differs from the previous render's list, backed
 // up over the cheap items just before it (at most 1/32 of the prefix's
 // triangles and points), so that a later edit of one of those still hits.
-// A camera that moves every frame therefore never pays for a copy; a
-// prefix of length 0 is a full render.
+// The first render, which has no previous one, snapshots at the end of its
+// list, backed up the same way. A camera that moves every frame therefore
+// pays for one copy, on its first frame; a prefix of length 0 is a full
+// render.
 #pragma once
 
 #include <cstdint>

@@ -20,16 +20,8 @@ namespace rave::render {
 
 namespace {
 
-// Edge length of the binning grid cells used by the pooled raster path.
-// The grid is anchored at the framebuffer origin and only decides which
-// thread owns which pixels — per-pixel arithmetic is anchored at each
-// triangle's own bbox, so cell shape never changes a single pixel value.
-constexpr int kRasterCell = 64;
-
 // Vertex-shading work is chunked at this granularity on the pool.
 constexpr size_t kVertexChunk = 4096;
-// Triangle clip/setup work is chunked at this granularity on the pool.
-constexpr size_t kTriangleChunk = 8192;
 
 uint8_t to_byte(float v) { return static_cast<uint8_t>(std::clamp(v, 0.0f, 1.0f) * 255.0f + 0.5f); }
 
@@ -69,9 +61,9 @@ inline void project_vertex(ShadedVertex& v, float fw, float fh) {
 // directly at every pixel center — e_i = ea[i]*(x+0.5) + row base, where
 // the row base eb[i]*(y+0.5) + ec[i] is computed once per row — so the
 // value at a pixel is a function of the triangle and the absolute pixel
-// position alone. Any window (full frame, a region tile, a 64-px binning
-// cell) and any lane width (scalar or 4/8-wide SIMD) performs the exact
-// same float operations per pixel and is therefore bit-identical.
+// position alone. Any window (full frame or a region tile) and any lane
+// width (scalar or 4/8-wide SIMD) performs the exact same float
+// operations per pixel and is therefore bit-identical.
 struct ScreenTriangle {
   float ea[3], eb[3], ec[3];
   float z[3];
@@ -182,9 +174,9 @@ void raster_window_scalar(FrameBuffer& fb, RenderStats& stats, const ScreenTrian
 // convex hull (x1 is ceil'd in setup), so the coverage mask kills those
 // lanes and nothing is stored for them — identical output to the scalar
 // walk, one iteration per ragged row instead of a per-pixel tail. Groups
-// may not cross `wlast` (the last column of the dispatch window): beyond
-// it pixels can be inside the triangle but belong to another worker's
-// cell, so the remainder falls back to the scalar pixel walk.
+// may not cross `wlast` (the last column of the region being drawn):
+// beyond it pixels can be inside the triangle but belong to another tile,
+// so the remainder falls back to the scalar pixel walk.
 void raster_window_sse2(FrameBuffer& fb, RenderStats& stats, const ScreenTriangle& t,
                         int wx0, int wy0, int wx1, int wy1, int wlast) {
   const __m128 ea0 = _mm_set1_ps(t.ea[0]), ea1 = _mm_set1_ps(t.ea[1]),
@@ -399,7 +391,7 @@ void raster_window_neon(FrameBuffer& fb, RenderStats& stats, const ScreenTriangl
 void raster_triangle_window(FrameBuffer& fb, RenderStats& stats, const ScreenTriangle& t,
                             const Tile& win) {
   const int wx0 = std::max(t.x0, win.x);
-  const int wlast = win.right() - 1;  // last column this worker owns
+  const int wlast = win.right() - 1;  // last column of the region
   const int wx1 = std::min(t.x1, wlast);
   const int wy0 = std::max(t.y0, win.y);
   const int wy1 = std::min(t.y1, win.bottom() - 1);
@@ -437,80 +429,6 @@ void raster_splat_window(FrameBuffer& fb, RenderStats& stats, const ScreenSplat&
       ++stats.pixels_shaded;
     }
   }
-}
-
-// Pooled raster stage: bucket primitives into the grid cells intersecting
-// `region` (submission order preserved inside each bucket), then give each
-// cell to one worker. Every pixel belongs to exactly one cell and each
-// cell replays its bucket in submission order, so the per-pixel z-pass
-// sequence — and therefore the output — is byte-identical to the serial
-// whole-region pass. Per-cell stats are merged afterwards so workers never
-// share a counter.
-template <typename Prim, typename BoxFn, typename RasterFn>
-void raster_parallel(const std::vector<Prim>& prims, const Tile& region,
-                     util::ThreadPool& pool, RenderStats& stats, const BoxFn& box,
-                     const RasterFn& raster) {
-  if (prims.empty() || region.width <= 0 || region.height <= 0) return;
-  const int cx0 = region.x / kRasterCell;
-  const int cx1 = (region.right() - 1) / kRasterCell;
-  const int cy0 = region.y / kRasterCell;
-  const int cy1 = (region.bottom() - 1) / kRasterCell;
-  const int ncx = cx1 - cx0 + 1;
-  const size_t ncells = static_cast<size_t>(ncx) * (cy1 - cy0 + 1);
-
-  // Counting-sort binning: one pass to size the buckets, one to fill.
-  std::vector<uint32_t> counts(ncells + 1, 0);
-  const auto cell_span = [&](const Prim& p, int& gx0, int& gy0, int& gx1, int& gy1) {
-    int bx0, by0, bx1, by1;
-    box(p, bx0, by0, bx1, by1);
-    gx0 = std::max(bx0 / kRasterCell, cx0);
-    gx1 = std::min(bx1 / kRasterCell, cx1);
-    gy0 = std::max(by0 / kRasterCell, cy0);
-    gy1 = std::min(by1 / kRasterCell, cy1);
-  };
-  for (const Prim& p : prims) {
-    int gx0, gy0, gx1, gy1;
-    cell_span(p, gx0, gy0, gx1, gy1);
-    for (int gy = gy0; gy <= gy1; ++gy)
-      for (int gx = gx0; gx <= gx1; ++gx)
-        ++counts[static_cast<size_t>(gy - cy0) * ncx + (gx - cx0) + 1];
-  }
-  for (size_t c = 1; c <= ncells; ++c) counts[c] += counts[c - 1];
-  {
-    // How evenly the binning grid spreads work across cells (prims per
-    // cell, after prefix sum: counts[c+1]-counts[c]).
-    static obs::Histogram& occupancy = obs::MetricsRegistry::global().histogram(
-        "rave_raster_cell_occupancy", {}, {0, 1, 2, 4, 8, 16, 32, 64, 128, 256});
-    for (size_t c = 0; c < ncells; ++c)
-      occupancy.observe(static_cast<double>(counts[c + 1] - counts[c]));
-  }
-  std::vector<uint32_t> order(counts[ncells]);
-  std::vector<uint32_t> fill(counts.begin(), counts.end() - 1);
-  for (uint32_t i = 0; i < prims.size(); ++i) {
-    int gx0, gy0, gx1, gy1;
-    cell_span(prims[i], gx0, gy0, gx1, gy1);
-    for (int gy = gy0; gy <= gy1; ++gy)
-      for (int gx = gx0; gx <= gx1; ++gx)
-        order[fill[static_cast<size_t>(gy - cy0) * ncx + (gx - cx0)]++] = i;
-  }
-
-  std::vector<RenderStats> cell_stats(ncells);
-  pool.parallel_for(ncells, [&](size_t ci) {
-    if (counts[ci] == counts[ci + 1]) return;
-    const int gx = cx0 + static_cast<int>(ci) % ncx;
-    const int gy = cy0 + static_cast<int>(ci) / ncx;
-    // The cell clipped to the region: the write window for this worker.
-    Tile win{gx * kRasterCell, gy * kRasterCell, kRasterCell, kRasterCell};
-    const int x1 = std::min(win.right(), region.right());
-    const int y1 = std::min(win.bottom(), region.bottom());
-    win.x = std::max(win.x, region.x);
-    win.y = std::max(win.y, region.y);
-    win.width = x1 - win.x;
-    win.height = y1 - win.y;
-    for (uint32_t k = counts[ci]; k < counts[ci + 1]; ++k)
-      raster(prims[order[k]], win, cell_stats[ci]);
-  });
-  for (const RenderStats& s : cell_stats) stats += s;
 }
 
 // Per-draw deltas into the global registry (counters are process-wide and
@@ -597,19 +515,19 @@ void Rasterizer::draw_mesh(const scene::MeshData& mesh, const Mat4& model, const
   stats_.triangles_submitted += mesh.triangle_count();
   const float near_w = 1e-4f;
 
-  // Clip and set up the triangles of [t_begin, t_end) in submission order,
-  // handing survivors to `sink`. `rasterized` counts area-passing
-  // triangles (the previous immediate-mode counter).
-  const auto process_triangles = [&](size_t t_begin, size_t t_end, uint64_t& rasterized,
-                                     const auto& sink) {
-    const auto submit = [&](const ShadedVertex& a, const ShadedVertex& b,
-                            const ShadedVertex& c) {
-      ScreenTriangle tri;
-      if (!setup_triangle(a, b, c, fb_.width(), fb_.height(), tri)) return;
-      ++rasterized;
-      if (tri.x0 <= tri.x1 && tri.y0 <= tri.y1) sink(tri);
-    };
-    for (size_t t = t_begin * 3; t + 2 < mesh.indices.size() && t < t_end * 3; t += 3) {
+  // Clip, set up and raster each triangle in submission order, straight
+  // into the region (DESIGN.md "Pooled rendering and determinism" says why
+  // this stage is serial). `rasterized` counts area-passing triangles.
+  uint64_t rasterized = 0;
+  const auto submit = [&](const ShadedVertex& a, const ShadedVertex& b, const ShadedVertex& c) {
+    ScreenTriangle tri;
+    if (!setup_triangle(a, b, c, fb_.width(), fb_.height(), tri)) return;
+    ++rasterized;
+    if (tri.x0 <= tri.x1 && tri.y0 <= tri.y1) raster_triangle_window(fb_, stats_, tri, region);
+  };
+  {
+    obs::ScopedSpan raster_span("raster", obs::Tracer::current_host());
+    for (size_t t = 0; t + 2 < mesh.indices.size(); t += 3) {
       const ShadedVertex* v[3] = {&shaded[mesh.indices[t]], &shaded[mesh.indices[t + 1]],
                                   &shaded[mesh.indices[t + 2]]};
       // Near-plane clip (w <= 0 or z < -w). Clip the triangle against
@@ -658,72 +576,8 @@ void Rasterizer::draw_mesh(const scene::MeshData& mesh, const Mat4& model, const
         }
       }
     }
-  };
-
-  const size_t triangle_count = mesh.indices.size() / 3;
-  if (options.pool == nullptr) {
-    // Serial: raster each surviving triangle immediately — no binning, no
-    // buffering. Identical pixels to the pooled path because per-pixel
-    // arithmetic is anchored at the triangle bbox either way.
-    uint64_t rasterized = 0;
-    {
-      obs::ScopedSpan raster_span("raster", obs::Tracer::current_host());
-      process_triangles(0, triangle_count, rasterized, [&](const ScreenTriangle& tri) {
-        raster_triangle_window(fb_, stats_, tri, region);
-      });
-    }
-    stats_.triangles_rasterized += rasterized;
-    account_draw(before_draw, stats_);
-    return;
   }
-
-  // Pooled: clip/setup in ordered chunks (each chunk collects survivors
-  // locally; chunks are concatenated in submission order), then bin the
-  // survivors into cells and raster cell-parallel.
-  std::vector<ScreenTriangle> tris;
-  {
-    obs::ScopedSpan bin_span("bin", obs::Tracer::current_host());
-    const size_t chunks = (triangle_count + kTriangleChunk - 1) / kTriangleChunk;
-    if (chunks > 1) {
-      std::vector<std::vector<ScreenTriangle>> chunk_tris(chunks);
-      std::vector<uint64_t> chunk_rasterized(chunks, 0);
-      options.pool->parallel_for(chunks, [&](size_t c) {
-        chunk_tris[c].reserve(kTriangleChunk);
-        process_triangles(c * kTriangleChunk,
-                          std::min(triangle_count, (c + 1) * kTriangleChunk),
-                          chunk_rasterized[c],
-                          [&](const ScreenTriangle& tri) { chunk_tris[c].push_back(tri); });
-      });
-      size_t total = 0;
-      for (const auto& ct : chunk_tris) total += ct.size();
-      tris.reserve(total);
-      for (size_t c = 0; c < chunks; ++c) {
-        tris.insert(tris.end(), chunk_tris[c].begin(), chunk_tris[c].end());
-        stats_.triangles_rasterized += chunk_rasterized[c];
-      }
-    } else {
-      tris.reserve(triangle_count);
-      uint64_t rasterized = 0;
-      process_triangles(0, triangle_count, rasterized,
-                        [&](const ScreenTriangle& tri) { tris.push_back(tri); });
-      stats_.triangles_rasterized += rasterized;
-    }
-  }
-
-  {
-    obs::ScopedSpan raster_span("raster", obs::Tracer::current_host());
-    raster_parallel(
-        tris, region, *options.pool, stats_,
-        [](const ScreenTriangle& t, int& bx0, int& by0, int& bx1, int& by1) {
-          bx0 = t.x0;
-          by0 = t.y0;
-          bx1 = t.x1;
-          by1 = t.y1;
-        },
-        [&](const ScreenTriangle& t, const Tile& win, RenderStats& s) {
-          raster_triangle_window(fb_, s, t, win);
-        });
-  }
+  stats_.triangles_rasterized += rasterized;
   account_draw(before_draw, stats_);
 }
 
@@ -737,11 +591,11 @@ void Rasterizer::draw_points(const scene::PointCloudData& points, const Mat4& mo
   const int radius = std::max(0, static_cast<int>(points.point_size / 2.0f));
 
   stats_.points_submitted += points.positions.size();
-
-  const auto project = [&](size_t i, ScreenSplat& s) {
+  for (size_t i = 0; i < points.positions.size(); ++i) {
     const util::Vec4 clip = mvp * util::Vec4(points.positions[i], 1.0f);
-    if (clip.w <= 1e-4f || clip.z < -clip.w) return false;
+    if (clip.w <= 1e-4f || clip.z < -clip.w) continue;
     const float inv_w = 1.0f / clip.w;
+    ScreenSplat s;
     s.x = static_cast<int>((clip.x * inv_w * 0.5f + 0.5f) * fb_.width());
     s.y = static_cast<int>((0.5f - clip.y * inv_w * 0.5f) * fb_.height());
     s.depth = clip.z * inv_w * 0.5f + 0.5f;
@@ -750,35 +604,8 @@ void Rasterizer::draw_points(const scene::PointCloudData& points, const Mat4& mo
     s.r = to_byte(color.x);
     s.g = to_byte(color.y);
     s.b = to_byte(color.z);
-    return s.x + radius >= 0 && s.x - radius < fb_.width() && s.y + radius >= 0 &&
-           s.y - radius < fb_.height();
-  };
-
-  if (options.pool == nullptr) {
-    for (size_t i = 0; i < points.positions.size(); ++i) {
-      ScreenSplat s;
-      if (project(i, s)) raster_splat_window(fb_, stats_, s, region);
-    }
-    return;
+    raster_splat_window(fb_, stats_, s, region);
   }
-
-  std::vector<ScreenSplat> splats;
-  splats.reserve(points.positions.size());
-  for (size_t i = 0; i < points.positions.size(); ++i) {
-    ScreenSplat s;
-    if (project(i, s)) splats.push_back(s);
-  }
-  raster_parallel(
-      splats, region, *options.pool, stats_,
-      [&](const ScreenSplat& s, int& bx0, int& by0, int& bx1, int& by1) {
-        bx0 = std::max(0, s.x - s.radius);
-        by0 = std::max(0, s.y - s.radius);
-        bx1 = std::min(fb_.width() - 1, s.x + s.radius);
-        by1 = std::min(fb_.height() - 1, s.y + s.radius);
-      },
-      [&](const ScreenSplat& s, const Tile& win, RenderStats& st) {
-        raster_splat_window(fb_, st, s, win);
-      });
 }
 
 void Rasterizer::draw_list(const RenderList& list, const Camera& camera,

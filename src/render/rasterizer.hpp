@@ -9,16 +9,15 @@
 // three edge equations are set up once per triangle and evaluated directly
 // at every pixel center (row base per row, ea*px + base per pixel), so the
 // value at a pixel is a function of the triangle and the absolute pixel
-// position alone. Any window (full frame, a region tile, or a 64-px
-// binning cell) and any SIMD lane width (scalar, SSE2, AVX2, NEON — picked
-// by util::active_simd_level, override with RAVE_SIMD) performs the exact
-// same float operations per pixel and reproduces the same bytes. Serial
-// draws raster each triangle immediately; with RenderOptions.pool set,
-// vertex shading and clip/setup run in ordered chunks on the pool and
-// survivors are bucketed into grid cells rasterized one-cell-per-worker
-// (no two threads share a pixel). Output is byte-identical to the serial
-// scalar path for every thread count × SIMD level combination — see
-// DESIGN.md "SIMD dispatch & determinism".
+// position alone. Any window (full frame or a region tile) and any SIMD
+// lane width (scalar, SSE2, AVX2, NEON — picked by util::active_simd_level,
+// override with RAVE_SIMD) performs the exact same float operations per
+// pixel and reproduces the same bytes. Triangles are clipped, set up and
+// rastered serially in submission order; with RenderOptions.pool set, only
+// vertex shading runs on the pool, in chunks that write disjoint slots.
+// Output is byte-identical to the serial scalar path for every thread
+// count × SIMD level combination — see DESIGN.md "SIMD dispatch &
+// determinism".
 #pragma once
 
 #include "render/framebuffer.hpp"
@@ -77,8 +76,8 @@ struct RenderOptions {
   // the whole frame. The projection always spans the full frame so tiles
   // from different services align exactly (paper §3.1.2).
   Tile region{};
-  // Rasterize binned cells on this pool (null = serial). Output is
-  // byte-identical for every thread count, including serial.
+  // Shade vertices on this pool (null = serial). Output is byte-identical
+  // for every thread count, including serial.
   util::ThreadPool* pool = nullptr;
 };
 

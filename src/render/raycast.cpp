@@ -778,12 +778,17 @@ RenderStats raycast_volume(FrameBuffer& fb, const VoxelGridData& grid, const Mat
   };
 
   // Rays are independent and each row writes disjoint pixels, so the
-  // parallel path is bit-identical to the serial one. Stats are gathered
-  // per row and merged in row order.
+  // parallel path is bit-identical to the serial one. Each row counts into
+  // its worker's own RenderStats and stores it once: adjacent 64-byte
+  // row_stats slots share cache lines across threads, so counting in place
+  // would bounce those lines once per ray, sample and skip. The rows are
+  // merged in row order.
   if (options.pool != nullptr && region.height > 1) {
     std::vector<RenderStats> row_stats(static_cast<size_t>(region.height));
     options.pool->parallel_for(static_cast<size_t>(region.height), [&](size_t row) {
-      cast_row(region.y + static_cast<int>(row), row_stats[row]);
+      RenderStats local;
+      cast_row(region.y + static_cast<int>(row), local);
+      row_stats[row] = local;
     });
     for (const RenderStats& rs : row_stats) st += rs;
   } else {

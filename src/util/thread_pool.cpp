@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -18,6 +19,11 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (auto& t : workers_) t.join();
+}
+
+ThreadPool& ThreadPool::shared() {
+  static ThreadPool pool(std::max(2u, std::thread::hardware_concurrency()) - 1);
+  return pool;
 }
 
 void ThreadPool::submit(std::function<void()> task) {

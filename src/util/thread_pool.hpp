@@ -1,7 +1,7 @@
 // Fixed-size worker pool shared by the rendering substrate: the rasterizer
-// parallelises over framebuffer tiles, the ray-caster over scanline rows,
-// and the compositor over row bands — all bit-deterministic because work
-// items never share pixels. parallel_for fans an index range out to the
+// shades vertex chunks, the ray-caster casts scanline rows, and the
+// compositor merges row bands — all bit-deterministic because work items
+// never share an output slot. parallel_for fans an index range out to the
 // workers *and* to the calling thread: the caller drains the same chunk
 // queue, so it is safe to call from a pool worker (nested use makes
 // progress even when every other worker is busy or blocked in its own
@@ -45,6 +45,13 @@ class ThreadPool {
   void parallel_for(size_t count, const std::function<void(size_t)>& fn);
 
   [[nodiscard]] unsigned size() const { return static_cast<unsigned>(workers_.size()); }
+
+  // The process-wide pool every render service uses by default, built on
+  // first use with hardware_concurrency() - 1 workers (at least one): the
+  // thread calling parallel_for drains the same queue, so a frame runs on
+  // every core. One pool per process keeps an in-process grid of services
+  // from oversubscribing the host.
+  static ThreadPool& shared();
 
  private:
   void worker_loop();

@@ -340,6 +340,59 @@ TEST(FrameStream, ForgedPdaTilesNeverReachAPresentedFrame) {
   EXPECT_EQ(receiver.stats().miss_requests, 1u);
 }
 
+// The lossless twin: a forged tile in the class's own codec and the slot's
+// own shape, under the slot's genuine hash, takes the genuine tile's place
+// on the wire. A Workstation receiver checks each data tile's hash before
+// placing or storing it, so the forgery never fills the slot: the slot
+// asks upstream once (TileMiss) and gets the genuine tile, and the
+// unchanged frames after it resolve every ref from the store and pass the
+// frame integrity check.
+TEST(FrameStream, ForgedWorkstationTilesNeverReachAPresentedFrame) {
+  util::SimClock clock;
+  FrameStreamOptions options;
+  options.tile_size = 32;
+  FrameStreamPublisher publisher(options);
+  auto [pub_end, hop_in] = net::make_channel_pair();
+  auto [hop_out, rcv_end] = net::make_channel_pair();
+  publisher.subscribe(pub_end, QualityClass::Workstation);
+  FrameStreamReceiver receiver(rcv_end, QualityClass::Workstation, options);
+
+  const Image frame = test_image(96, 64, 5);
+  const Tile slot = render::tile_grid(96, 64, 32)[0];
+  const uint64_t slot_hash = render::hash_tile(frame, slot);
+  Image magenta(slot.width, slot.height);
+  for (int y = 0; y < slot.height; ++y)
+    for (int x = 0; x < slot.width; ++x) magenta.set_pixel(x, y, 255, 0, 255);
+  bool forge = true;
+  const auto pump = [&] {
+    (void)publisher.pump();
+    while (auto msg = hop_in->try_receive()) {
+      if (forge && msg->type == kMsgTileData && view_tile_data(*msg).value().tile_index == 0) {
+        // The first frame's tile 0: send the forgery instead.
+        (void)hop_out->send(encode(TileDataMsg{
+            view_tile_data(*msg).value().frame_id, 0, slot, slot_hash,
+            compress::make_codec(CodecKind::Rle)->encode(magenta, nullptr).serialize()}));
+        forge = false;
+        continue;
+      }
+      (void)hop_out->send(*std::move(msg));
+    }
+    while (auto msg = hop_out->try_receive()) (void)hop_in->send(*std::move(msg));
+  };
+
+  for (int step = 0; step < 4; ++step) {
+    (void)publisher.publish_frame(frame);
+    auto got = receiver.next_frame(clock, 1.0, pump);
+    ASSERT_TRUE(got.ok()) << "frame " << step << ": " << got.error();
+    EXPECT_EQ(got.value().rgb, frame.rgb) << "frame " << step;
+  }
+  EXPECT_FALSE(forge);
+  // Only the forged slot asked upstream; frames 1-3 are all refs, and
+  // every one resolved from the store.
+  EXPECT_EQ(receiver.stats().miss_requests, 1u);
+  EXPECT_EQ(publisher.stats().miss_replies, 1u);
+}
+
 TEST(FrameStream, LateJoinerForcesKeyframeForItsClass) {
   util::SimClock clock;
   FrameStreamOptions options;

@@ -214,7 +214,7 @@ TEST_P(LayerReuse, RandomEditsMatchFullRender) {
 TEST(LayerReuseCache, FixedViewRedrawsOnlyTheChangedSuffix) {
   Scene s = make_scene();
   LayerCache cache;
-  const Camera cam = front_camera();
+  Camera cam = front_camera();
   const auto draw = [&](Rasterizer& raster) {
     return cache.draw(raster, build_render_list(s.tree, cam, 96.0f / 72.0f), cam, {});
   };
@@ -222,8 +222,12 @@ TEST(LayerReuseCache, FixedViewRedrawsOnlyTheChangedSuffix) {
       obs::MetricsRegistry::global().counter("rave_raster_triangles_submitted_total");
   const uint64_t cone = scene::make_avatar_mesh(avatar("user0")).triangle_count();
   RenderStats full;
-  Rasterizer first(96, 72), second(96, 72), third(96, 72), fourth(96, 72);
-  EXPECT_FALSE(draw(first));  // nothing cached yet
+  Rasterizer first(96, 72), moved(96, 72), second(96, 72), third(96, 72), fourth(96, 72);
+  EXPECT_FALSE(draw(first));  // nothing cached yet; snapshots for this view
+  // Another view: a miss that takes no snapshot, so the next miss under
+  // this view diffs against a previous render of the same view.
+  cam.eye = {0.4f, 0.2f, 3.9f};
+  EXPECT_FALSE(draw(moved));
   (void)s.tree.set_transform(s.avatars[2], Mat4::translate({-0.1f, 0.3f, 1.1f}));
   // Same view: snapshots the prefix before avatar 2, backed up over the
   // cheap avatars 0 and 1 to end after the point cloud.
@@ -246,6 +250,57 @@ TEST(LayerReuseCache, FixedViewRedrawsOnlyTheChangedSuffix) {
   EXPECT_EQ(fourth.framebuffer().color(), want.color());
   EXPECT_EQ(fourth.framebuffer().depth(), want.depth());
   EXPECT_EQ(fourth.stats().triangles_submitted, full.triangles_submitted);
+}
+
+// A replica's first render has no previous render to diff against, so it
+// snapshots its whole list, backed up over the cheap trailing items: the
+// first edit under the same view then redraws only those, where a cache
+// that waited for a second render to diff would re-raster everything once.
+// A later miss under another view takes no snapshot (an orbiting camera
+// never copies planes), so the first layer stays for the first view.
+TEST(LayerReuseCache, FirstRenderSnapshotsSoTheFirstEditHits) {
+  Scene s = make_scene();
+  LayerCache cache;
+  const Camera cam = front_camera();
+  const auto draw = [&](Rasterizer& raster, const Camera& c) {
+    return cache.draw(raster, build_render_list(s.tree, c, 96.0f / 72.0f), c, {});
+  };
+  const auto expect_full = [&](const Rasterizer& raster, const Camera& c, const std::string& what) {
+    RenderStats full;
+    const FrameBuffer want = render_tree(s.tree, c, 96, 72, {}, &full);
+    EXPECT_EQ(raster.framebuffer().color(), want.color()) << what;
+    EXPECT_EQ(raster.framebuffer().depth(), want.depth()) << what;
+    expect_same_stats(raster.stats(), full, what);
+  };
+  obs::Counter& submitted =
+      obs::MetricsRegistry::global().counter("rave_raster_triangles_submitted_total");
+  const uint64_t cone = scene::make_avatar_mesh(avatar("user0")).triangle_count();
+
+  Rasterizer first(96, 72);
+  EXPECT_FALSE(draw(first, cam));
+  expect_full(first, cam, "first render");
+
+  // The layer ends after avatar 0 (avatars 1 and 2 are within 1/32 of the
+  // list's work), so moving avatar 2 redraws only avatars 1 and 2.
+  (void)s.tree.set_transform(s.avatars[2], Mat4::translate({0.4f, 0.6f, 1.0f}));
+  Rasterizer edited(96, 72);
+  uint64_t before = submitted.value();
+  EXPECT_TRUE(draw(edited, cam));
+  EXPECT_EQ(submitted.value() - before, 2 * cone);
+  expect_full(edited, cam, "first edit");
+
+  Camera moved = cam;
+  moved.eye = {0.4f, 0.2f, 3.9f};
+  Rasterizer orbit(96, 72);
+  EXPECT_FALSE(draw(orbit, moved));
+  expect_full(orbit, moved, "moved camera");
+
+  (void)s.tree.set_transform(s.avatars[1], Mat4::translate({0.1f, 0.6f, 1.0f}));
+  Rasterizer back(96, 72);
+  before = submitted.value();
+  EXPECT_TRUE(draw(back, cam));
+  EXPECT_EQ(submitted.value() - before, 2 * cone);
+  expect_full(back, cam, "first view again");
 }
 
 std::vector<Lane> lanes() {
@@ -321,10 +376,10 @@ TEST(LayerReuseService, AvatarMovesHitAndChargeFullFrames) {
                          sim::volume_march_seconds(profile, 0, 0))
         << "frame " << frame;
   }
-  // Frame 0 has no previous render; frame 1 moves avatar 1 and takes the
-  // snapshot, backed up over avatar 0 to the big mesh alone, so every
-  // later move of either avatar hits.
-  EXPECT_EQ(render.stats().layer_hits, 10u);
+  // Frame 0 has no previous render and snapshots its whole list, backed up
+  // over both avatars to the big mesh alone, so every later move of either
+  // avatar hits.
+  EXPECT_EQ(render.stats().layer_hits, 11u);
   EXPECT_EQ(render.stats().layer_hits + render.stats().layer_misses, 12u);
   EXPECT_EQ(hit_counter.value() - hits_before, render.stats().layer_hits);
 }

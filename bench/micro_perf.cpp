@@ -587,7 +587,7 @@ void BM_Fanout(benchmark::State& state) {
   if (!cached) {
     // Pre-caching delivery: every subscriber gets its own encode of every
     // frame and its own unicast payload (what serve_frame does per pull).
-    std::array<std::unique_ptr<compress::ImageCodec>, 2> codecs = {
+    const std::array<const compress::ImageCodec*, 2> codecs = {
         compress::make_codec(compress::codec_for_quality(compress::QualityClass::Workstation)),
         compress::make_codec(compress::codec_for_quality(compress::QualityClass::Pda))};
     size_t frame_index = 0;
@@ -660,6 +660,85 @@ BENCHMARK(BM_Fanout)
     ->Args({1000, 0, 1})
     ->Args({1000, 1, 1})
     ->Unit(benchmark::kMillisecond);
+
+// One frame of the stream, end to end over the reactor's loopback: an
+// orbiting 640x480 Elle frame published to one Workstation and one Pda
+// subscriber, then received and assembled by both. The encode memo holds
+// fewer tiles than the cycle of 24 frames, so every changed tile encodes
+// as it would in a never-repeating orbit. Arg 0 = the publisher encodes
+// serially (0) or on the shared pool (1); receivers always decode on the
+// shared pool.
+void BM_StreamFrame(benchmark::State& state) {
+  const bool pooled = state.range(0) != 0;
+  constexpr int kFrames = 24;
+  std::vector<render::Image> frames;
+  scene::Camera cam = scene::Camera::framing(elle_tree().world_bounds());
+  cam.dolly(0.8f * (cam.target - cam.eye).length());
+  for (int i = 0; i < kFrames; ++i) {
+    cam.orbit(0.05f, 0.0f);
+    frames.push_back(render::render_tree(elle_tree(), cam, 640, 480).to_image());
+  }
+
+  std::mutex accept_mu;
+  std::condition_variable accept_cv;
+  std::vector<net::ChannelPtr> accepted;
+  auto listener = net::Reactor::global().listen(0, [&](net::ChannelPtr channel) {
+    std::lock_guard lock(accept_mu);
+    accepted.push_back(std::move(channel));
+    accept_cv.notify_all();
+  });
+  if (!listener.ok()) {
+    state.SkipWithError(listener.error().c_str());
+    return;
+  }
+  const std::array<compress::QualityClass, 2> classes = {compress::QualityClass::Workstation,
+                                                         compress::QualityClass::Pda};
+  core::FrameStreamOptions options;
+  options.encode_memo_capacity = 256;
+  core::FrameStreamPublisher publisher(options, pooled ? &util::ThreadPool::shared() : nullptr);
+  std::vector<std::unique_ptr<core::FrameStreamReceiver>> receivers;
+  for (const compress::QualityClass quality : classes) {
+    auto dialed = net::tcp_connect("127.0.0.1", listener.value()->port());
+    if (!dialed.ok()) {
+      state.SkipWithError("connect failed");
+      return;
+    }
+    std::unique_lock lock(accept_mu);
+    if (!accept_cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return accepted.size() == receivers.size() + 1; })) {
+      state.SkipWithError("accept timed out");
+      return;
+    }
+    publisher.subscribe(accepted.back(), quality);
+    receivers.push_back(
+        std::make_unique<core::FrameStreamReceiver>(std::move(dialed).take(), quality, options));
+  }
+  listener.value()->close();
+
+  util::RealClock clock;
+  size_t next = 0;
+  for (auto _ : state) {
+    (void)publisher.publish_frame(frames[next++ % frames.size()]);
+    for (auto& receiver : receivers) {
+      auto frame = receiver->next_frame(clock, 5.0);
+      if (!frame.ok()) {
+        state.SkipWithError(frame.error().c_str());
+        return;
+      }
+      benchmark::DoNotOptimize(frame.value().rgb.data());
+    }
+  }
+  const auto& memo = publisher.memo().stats();
+  state.counters["encodes_per_frame"] = benchmark::Counter(
+      static_cast<double>(memo.misses) / static_cast<double>(std::max<size_t>(next, 1)));
+  state.counters["wire_bytes_per_frame"] = benchmark::Counter(
+      static_cast<double>(publisher.stats().ref_bytes + publisher.stats().data_bytes) /
+      static_cast<double>(std::max<size_t>(next, 1)));
+  state.SetLabel(std::string(pooled ? "shared pool" : "serial") + " encode, " +
+                 util::simd_level_name(util::active_simd_level()));
+  for (const auto& channel : accepted) channel->close();
+}
+BENCHMARK(BM_StreamFrame)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_SoapCallRoundTrip(benchmark::State& state) {
   services::SoapCall call;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/hash.hpp"
 #include "util/serial.hpp"
 #include "util/simd.hpp"
 
@@ -12,6 +11,7 @@ namespace rave::compress {
 using util::make_error;
 using util::Result;
 using util::SimdLevel;
+using util::Status;
 
 const char* codec_name(CodecKind kind) {
   switch (kind) {
@@ -33,52 +33,30 @@ std::vector<uint8_t> EncodedImage::serialize() const {
   return w.take();
 }
 
-uint64_t EncodedImage::content_hash() const {
-  // Fold exactly the bytes serialize() emits, in wire order: u8 codec,
-  // u8 keyframe, u16 width, u16 height, u32 length prefix, payload.
-  uint64_t h = util::kFnvOffsetBasis;
-  const uint8_t header[2] = {static_cast<uint8_t>(codec), keyframe ? uint8_t{1} : uint8_t{0}};
-  h = util::fnv1a(h, header, 2);
-  const uint8_t dims[4] = {
-      static_cast<uint8_t>(static_cast<uint16_t>(width) & 0xFF),
-      static_cast<uint8_t>(static_cast<uint16_t>(width) >> 8),
-      static_cast<uint8_t>(static_cast<uint16_t>(height) & 0xFF),
-      static_cast<uint8_t>(static_cast<uint16_t>(height) >> 8),
-  };
-  h = util::fnv1a(h, dims, 4);
-  h = util::fnv1a_u32(h, static_cast<uint32_t>(data.size()));
-  return util::fnv1a(h, data.data(), data.size());
-}
-
-namespace {
-// serialize()'s layout read in place: every field but the payload goes
-// into `header`; the payload comes back as a view into `bytes`.
-Result<std::span<const uint8_t>> read_serialized(std::span<const uint8_t> bytes,
-                                                 EncodedImage& header) {
+Result<EncodedView> EncodedImage::read(std::span<const uint8_t> bytes) {
   util::ByteReader r(bytes);
-  header.codec = static_cast<CodecKind>(r.u8());
-  header.keyframe = r.u8() != 0;
-  header.width = r.u16();
-  header.height = r.u16();
-  const std::span<const uint8_t> data = r.view();
+  EncodedView out;
+  out.codec = static_cast<CodecKind>(r.u8());
+  out.keyframe = r.u8() != 0;
+  out.width = r.u16();
+  out.height = r.u16();
+  out.data = r.view();
   if (!r.ok()) return make_error("encoded image: truncated");
-  return data;
-}
-}  // namespace
-
-Result<EncodedImage> EncodedImage::deserialize(std::span<const uint8_t> bytes) {
-  EncodedImage out;
-  const auto data = read_serialized(bytes, out);
-  if (!data.ok()) return make_error(data.error());
-  out.data.assign(data.value().begin(), data.value().end());
   return out;
 }
 
-Result<CodecKind> EncodedImage::peek_codec(std::span<const uint8_t> bytes) {
-  EncodedImage header;
-  const auto data = read_serialized(bytes, header);
-  if (!data.ok()) return make_error(data.error());
-  return header.codec;
+Result<EncodedImage> EncodedImage::deserialize(std::span<const uint8_t> bytes) {
+  const auto view = read(bytes);
+  if (!view.ok()) return make_error(view.error());
+  const EncodedView& v = view.value();
+  return EncodedImage{v.codec, v.width, v.height, v.keyframe, {v.data.begin(), v.data.end()}};
+}
+
+Result<Image> ImageCodec::decode(const EncodedImage& encoded, const Image* previous) const {
+  Image img(encoded.width, encoded.height);
+  const Status decoded = decode_into(encoded.view(), previous, img);
+  if (!decoded.ok()) return make_error(decoded.error());
+  return img;
 }
 
 namespace {
@@ -110,11 +88,10 @@ std::vector<uint8_t> rle_encode(const std::vector<uint8_t>& rgb) {
   return out;
 }
 
-util::Result<std::vector<uint8_t>> rle_decode(const std::vector<uint8_t>& data, size_t pixels) {
+// Decodes into the caller's pre-sized `rgb` (no per-pixel push_back
+// triple); each run is a pattern fill of the SIMD layer.
+Status rle_decode(std::span<const uint8_t> data, std::span<uint8_t> rgb) {
   const SimdLevel level = util::active_simd_level();
-  // Pre-sized output written through a pointer (no per-pixel push_back
-  // triple); each run is a pattern fill of the SIMD layer.
-  std::vector<uint8_t> rgb(pixels * 3);
   uint8_t* dst = rgb.data();
   const uint8_t* const end = rgb.data() + rgb.size();
   size_t i = 0;
@@ -127,7 +104,7 @@ util::Result<std::vector<uint8_t>> rle_decode(const std::vector<uint8_t>& data, 
     i += 4;
   }
   if (dst != end) return make_error("rle: truncated stream");
-  return rgb;
+  return {};
 }
 
 class RawCodec final : public ImageCodec {
@@ -143,11 +120,10 @@ class RawCodec final : public ImageCodec {
     return out;
   }
 
-  Result<Image> decode(const EncodedImage& encoded, const Image*) const override {
-    Image img(encoded.width, encoded.height);
-    if (encoded.data.size() != img.rgb.size()) return make_error("raw: size mismatch");
-    img.rgb = encoded.data;
-    return img;
+  Status decode_into(const EncodedView& encoded, const Image*, Image& out) const override {
+    if (encoded.data.size() != out.rgb.size()) return make_error("raw: size mismatch");
+    std::copy(encoded.data.begin(), encoded.data.end(), out.rgb.begin());
+    return {};
   }
 };
 
@@ -164,12 +140,8 @@ class RleCodec final : public ImageCodec {
     return out;
   }
 
-  Result<Image> decode(const EncodedImage& encoded, const Image*) const override {
-    Image img(encoded.width, encoded.height);
-    auto rgb = rle_decode(encoded.data, static_cast<size_t>(encoded.width) * encoded.height);
-    if (!rgb.ok()) return make_error(rgb.error());
-    img.rgb = std::move(rgb).take();
-    return img;
+  Status decode_into(const EncodedView& encoded, const Image*, Image& out) const override {
+    return rle_decode(encoded.data, out.rgb);
   }
 };
 
@@ -197,21 +169,18 @@ class DeltaCodec final : public ImageCodec {
     return out;
   }
 
-  Result<Image> decode(const EncodedImage& encoded, const Image* previous) const override {
-    Image img(encoded.width, encoded.height);
-    auto payload = rle_decode(encoded.data, static_cast<size_t>(encoded.width) * encoded.height);
-    if (!payload.ok()) return make_error(payload.error());
-    if (encoded.keyframe) {
-      img.rgb = std::move(payload).take();
-      return img;
-    }
+  Status decode_into(const EncodedView& encoded, const Image* previous,
+                     Image& out) const override {
+    if (encoded.keyframe) return rle_decode(encoded.data, out.rgb);
     if (previous == nullptr || previous->width != encoded.width ||
         previous->height != encoded.height)
       return make_error("delta: missing previous frame");
-    const std::vector<uint8_t> diff = std::move(payload).take();
-    util::simd::byte_add(img.rgb.data(), previous->rgb.data(), diff.data(),
-                         img.rgb.size(), util::active_simd_level());
-    return img;
+    std::vector<uint8_t> diff(out.rgb.size());
+    const Status payload = rle_decode(encoded.data, diff);
+    if (!payload.ok()) return payload;
+    util::simd::byte_add(out.rgb.data(), previous->rgb.data(), diff.data(),
+                         out.rgb.size(), util::active_simd_level());
+    return {};
   }
 };
 
@@ -250,10 +219,9 @@ class QuantizeCodec final : public ImageCodec {
     return out;
   }
 
-  Result<Image> decode(const EncodedImage& encoded, const Image*) const override {
+  Status decode_into(const EncodedView& encoded, const Image*, Image& out) const override {
     const SimdLevel level = util::active_simd_level();
-    Image img(encoded.width, encoded.height);
-    const size_t pixels = static_cast<size_t>(encoded.width) * encoded.height;
+    const size_t pixels = out.rgb.size() / 3;
     // Pre-sized output, each run unpacked once and pattern-filled.
     size_t px = 0, i = 0;
     while (i + 3 <= encoded.data.size() && px < pixels) {
@@ -265,24 +233,28 @@ class QuantizeCodec final : public ImageCodec {
       const uint8_t g = static_cast<uint8_t>(((code >> 5) & 0x3F) << 2);
       const uint8_t b = static_cast<uint8_t>((code & 0x1F) << 3);
       const size_t fill = std::min(run, pixels - px);
-      util::simd::fill_rgb(img.rgb.data() + px * 3, fill, r, g, b, level);
+      util::simd::fill_rgb(out.rgb.data() + px * 3, fill, r, g, b, level);
       px += fill;
       i += 3;
     }
     if (px != pixels) return make_error("quantize: truncated stream");
-    return img;
+    return {};
   }
 };
 }  // namespace
 
-std::unique_ptr<ImageCodec> make_codec(CodecKind kind) {
+const ImageCodec* make_codec(CodecKind kind) {
+  static const RawCodec raw;
+  static const RleCodec rle;
+  static const DeltaCodec delta;
+  static const QuantizeCodec quantize;
   switch (kind) {
-    case CodecKind::Raw: return std::make_unique<RawCodec>();
-    case CodecKind::Rle: return std::make_unique<RleCodec>();
-    case CodecKind::Delta: return std::make_unique<DeltaCodec>();
-    case CodecKind::Quantize: return std::make_unique<QuantizeCodec>();
+    case CodecKind::Raw: return &raw;
+    case CodecKind::Rle: return &rle;
+    case CodecKind::Delta: return &delta;
+    case CodecKind::Quantize: return &quantize;
   }
-  return std::make_unique<RawCodec>();
+  return &raw;
 }
 
 }  // namespace rave::compress

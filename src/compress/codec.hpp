@@ -6,8 +6,9 @@
 // the wireless "low and highly variable" bandwidth requirement.
 #pragma once
 
-#include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "render/framebuffer.hpp"
 #include "util/result.hpp"
@@ -25,6 +26,16 @@ enum class CodecKind : uint8_t {
 
 const char* codec_name(CodecKind kind);
 
+// An encoded image read in place: the header fields, and the payload as a
+// view into bytes someone else owns (an EncodedImage's `data`, or a
+// serialize()d tile inside a stream message).
+struct EncodedView {
+  CodecKind codec = CodecKind::Raw;
+  int width = 0, height = 0;
+  bool keyframe = true;
+  std::span<const uint8_t> data;
+};
+
 struct EncodedImage {
   CodecKind codec = CodecKind::Raw;
   int width = 0, height = 0;
@@ -38,21 +49,20 @@ struct EncodedImage {
   // (asserted by a test) without allocating the serialized buffer.
   [[nodiscard]] uint64_t byte_size() const { return data.size() + 10; }
 
-  // Stable content address: FNV-1a 64 over exactly the bytes serialize()
-  // would emit (header fields in wire order, then payload), without
-  // allocating them. Because every codec is byte-identical across SIMD
-  // levels (PR 3 invariant, pinned by test_compress), the hash is too —
-  // so a memoized encode computed on an AVX2 host addresses the same
-  // content as its scalar twin.
-  [[nodiscard]] uint64_t content_hash() const;
+  [[nodiscard]] EncodedView view() const { return {codec, width, height, keyframe, data}; }
 
+  // Every codec is byte-identical across SIMD levels, so
+  // serialize() is too: the same tile serializes to the same wire bytes on
+  // an AVX2 host and its scalar twin (pinned by test_compress).
   [[nodiscard]] std::vector<uint8_t> serialize() const;
   static util::Result<EncodedImage> deserialize(std::span<const uint8_t> bytes);
-  // The codec of a serialize()d image, read in place without copying the
-  // payload; fails on exactly what deserialize() rejects.
-  static util::Result<CodecKind> peek_codec(std::span<const uint8_t> bytes);
+  // A serialize()d image read in place, without copying the payload; fails
+  // on exactly what deserialize() rejects.
+  static util::Result<EncodedView> read(std::span<const uint8_t> bytes);
 };
 
+// Codecs are stateless: make_codec hands out one shared instance per kind,
+// safe to use from any number of threads at once.
 class ImageCodec {
  public:
   virtual ~ImageCodec() = default;
@@ -61,10 +71,17 @@ class ImageCodec {
   // `previous` is the last frame the *receiver* decoded (nullptr for the
   // first frame); codecs that cannot use it emit a keyframe.
   virtual EncodedImage encode(const Image& image, const Image* previous) const = 0;
-  virtual util::Result<Image> decode(const EncodedImage& encoded,
-                                     const Image* previous) const = 0;
+
+  // Decode into `out`, which the caller has already sized to the encoded
+  // width x height: a pool worker decoding a stream tile writes into
+  // storage the receiving thread allocated.
+  virtual util::Status decode_into(const EncodedView& encoded, const Image* previous,
+                                   Image& out) const = 0;
+  [[nodiscard]] util::Result<Image> decode(const EncodedImage& encoded,
+                                           const Image* previous) const;
 };
 
-std::unique_ptr<ImageCodec> make_codec(CodecKind kind);
+// The shared codec of `kind`; nothing is allocated per call.
+const ImageCodec* make_codec(CodecKind kind);
 
 }  // namespace rave::compress

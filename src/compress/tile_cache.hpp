@@ -1,6 +1,6 @@
 // Content-addressed tile caching for the frame fan-out tier. Two pieces:
 //
-//  - EncodeMemo (publisher side): memoizes encoded tiles by
+//  - EncodeMemo (publisher side): memoizes serialized encoded tiles by
 //    (tile content hash, codec, quality class), so a tile rendered once is
 //    encoded once per distinct quality class and shared by every
 //    subscriber of that class — the Rendering-as-a-Service cost model
@@ -17,11 +17,13 @@
 #pragma once
 
 #include <list>
-#include <memory>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "compress/codec.hpp"
 #include "net/buffer.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rave::compress {
 
@@ -54,24 +56,35 @@ class EncodeMemo {
 
   explicit EncodeMemo(size_t capacity = 4096);
 
-  // Return the encoded form of `tile_pixels` (whose content hash is
-  // `tile_hash`) for `quality`, encoding only on a memo miss. The result
-  // is shared — callers must not mutate it.
-  std::shared_ptr<const EncodedImage> encode(uint64_t tile_hash, QualityClass quality,
-                                             const render::Image& tile_pixels);
-
-  // Memo-only lookup (miss-request serving): nullptr when not resident.
-  [[nodiscard]] std::shared_ptr<const EncodedImage> lookup(uint64_t tile_hash,
-                                                           QualityClass quality);
-
-  // Like encode(), but returns the tile's *serialized* wire form as a
-  // shared Buffer, built once per memo entry and refcounted thereafter.
-  // This is the zero-copy fan-out path: the publisher hands the Buffer to
-  // net::Message as its tail, every subscriber's copy of the message
-  // shares it, and the socket transports scatter-gather it straight to
-  // the kernel — the encoded bytes are never copied after this call.
+  // Return the serialized encoded form (EncodedImage::serialize()) of
+  // `tile_pixels`, whose content hash is `tile_hash`, for `quality`,
+  // encoding only on a memo miss. An entry holds only these wire bytes, as
+  // a shared Buffer refcounted thereafter. This is the zero-copy fan-out
+  // path: the publisher hands the Buffer to net::Message as its tail,
+  // every subscriber's copy of the message shares it, and the socket
+  // transports scatter-gather it straight to the kernel — the encoded
+  // bytes are never copied after this call.
   net::Buffer encode_serialized(uint64_t tile_hash, QualityClass quality,
                                 const render::Image& tile_pixels);
+
+  // Whether (tile_hash, quality) is resident; touches neither the LRU
+  // order nor the stats.
+  [[nodiscard]] bool contains(uint64_t tile_hash, QualityClass quality) const;
+
+  // One data tile of a frame: its content hash and pixels.
+  struct Tile {
+    uint64_t hash = 0;
+    const render::Image* pixels = nullptr;
+  };
+
+  // encode_serialized() for each of a frame's data tiles, in order. With
+  // a `pool`, the encodes that serial walk would miss on — the first
+  // occurrence of each hash the memo does not hold — run first, on the
+  // pool, and the results are then adopted in tile order: the same hits,
+  // misses, evictions and bytes_saved, and (encoding being a pure function
+  // of the pixels) the same bytes. nullptr walks serially.
+  std::vector<net::Buffer> encode_serialized(std::span<const Tile> tiles, QualityClass quality,
+                                             util::ThreadPool* pool);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] size_t size() const { return entries_.size(); }
@@ -91,11 +104,17 @@ class EncodeMemo {
   };
   struct Entry {
     Key key;
-    std::shared_ptr<const EncodedImage> encoded;
-    net::Buffer serialized;  // lazily built by encode_serialized()
+    net::Buffer serialized;
   };
 
+  static Key key_of(uint64_t tile_hash, QualityClass quality);
+  static net::Buffer encode_tile(QualityClass quality, const render::Image& tile_pixels);
   void touch(std::list<Entry>::iterator it);
+  // The bytes for (tile_hash, quality), accounted as a hit or a miss. A
+  // miss adopts `ready` (encoded off the memo) or, when null, encodes
+  // `tile_pixels` here.
+  const net::Buffer& find_or_encode(uint64_t tile_hash, QualityClass quality,
+                                    const render::Image& tile_pixels, const net::Buffer* ready);
 
   size_t capacity_;
   std::list<Entry> lru_;  // front = most recent

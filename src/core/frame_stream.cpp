@@ -70,8 +70,8 @@ FrameStreamPublisher::FramePtr tile_frame(const Image& frame, int tile_size) {
 
 }  // namespace
 
-FrameStreamPublisher::FrameStreamPublisher(FrameStreamOptions options)
-    : options_(options), memo_(options.encode_memo_capacity) {}
+FrameStreamPublisher::FrameStreamPublisher(FrameStreamOptions options, util::ThreadPool* pool)
+    : options_(options), pool_(pool), memo_(options.encode_memo_capacity) {}
 
 net::FanoutHub::SubscriberId FrameStreamPublisher::subscribe(net::ChannelPtr channel,
                                                              QualityClass quality) {
@@ -98,7 +98,7 @@ size_t FrameStreamPublisher::subscriber_count() const {
 }
 
 void FrameStreamPublisher::ship(const FramePtr& frame, FrameBeginMsg begin, FramePtr& last,
-                                const std::function<void(net::Message)>& send,
+                                const std::function<void(std::span<const net::Message>)>& send,
                                 FrameReport& report) {
   const double start = obs::Tracer::global().now();
   const TiledFrame& f = *frame;
@@ -111,32 +111,38 @@ void FrameStreamPublisher::ship(const FramePtr& frame, FrameBeginMsg begin, Fram
   begin.tile_size = static_cast<uint16_t>(options_.tile_size);
   begin.tile_count = static_cast<uint16_t>(count);
   begin.publish_time = start;
-  net::Message begin_msg = encode(begin);
-  stamp_trace(begin_msg);
-  send(std::move(begin_msg));
 
+  // Refs are decided here; the changed tiles go to the memo as one batch,
+  // whose misses encode on the pool.
+  std::vector<bool> ref(count);
+  std::vector<compress::EncodeMemo::Tile> changed;
+  for (size_t i = 0; i < count; ++i) {
+    ref[i] = !keyframe && f.hashes[i] == prev->hashes[i];
+    if (!ref[i]) changed.push_back({f.hashes[i], &f.pixels[i]});
+  }
+  std::vector<net::Buffer> encoded = memo_.encode_serialized(changed, begin.quality, pool_);
+
+  std::vector<net::Message> messages;
+  messages.reserve(count + 2);
+  messages.push_back(encode(begin));
+  size_t next_encoded = 0;
   for (size_t i = 0; i < count; ++i) {
     const auto index = static_cast<uint16_t>(i);
-    const bool ref = !keyframe && f.hashes[i] == prev->hashes[i];
     // A changed tile's serialized form rides as a shared Buffer tail: one
     // encode + serialize per (content, class), a refcount bump per
     // subscriber, and a scatter-gather write at the socket — never
     // another copy.
-    net::Message msg =
-        ref ? encode(TileRefMsg{begin.frame_id, index, f.hashes[i]})
-            : encode_tile_data(begin.frame_id, index, f.tiles[i], f.hashes[i],
-                               memo_.encode_serialized(f.hashes[i], begin.quality, f.pixels[i]));
-    stamp_trace(msg);
-    (ref ? report.tiles_ref : report.tiles_data) += 1;
-    (ref ? report.ref_bytes : report.data_bytes) += msg.wire_size();
-    send(std::move(msg));
+    messages.push_back(ref[i] ? encode(TileRefMsg{begin.frame_id, index, f.hashes[i]})
+                              : encode_tile_data(begin.frame_id, index, f.tiles[i], f.hashes[i],
+                                                 std::move(encoded[next_encoded++])));
+    (ref[i] ? report.tiles_ref : report.tiles_data) += 1;
+    (ref[i] ? report.ref_bytes : report.data_bytes) += messages.back().wire_size();
   }
   report.tiles_total += count;
-
-  net::Message end_msg =
-      encode(FrameEndMsg{begin.frame_id, static_cast<uint16_t>(count), f.frame_hash});
-  stamp_trace(end_msg);
-  send(std::move(end_msg));
+  messages.push_back(
+      encode(FrameEndMsg{begin.frame_id, static_cast<uint16_t>(count), f.frame_hash}));
+  for (net::Message& msg : messages) stamp_trace(msg);
+  send(messages);
   delivery_histogram(begin.quality, "publish").observe(obs::Tracer::global().now() - start);
   last = frame;
 }
@@ -170,8 +176,8 @@ FrameStreamPublisher::FrameReport FrameStreamPublisher::publish_frame(const Imag
     FrameBeginMsg begin;
     begin.frame_id = report.frame_id;
     begin.quality = static_cast<QualityClass>(q);
-    ship(last_published_, begin, s.last, [&s](net::Message msg) { s.hub.publish(msg); },
-         report);
+    ship(last_published_, begin, s.last,
+         [&s](std::span<const net::Message> frame) { s.hub.publish(frame); }, report);
   }
   account(report);
   return report;
@@ -188,7 +194,8 @@ FrameStreamPublisher::FrameReport FrameStreamPublisher::answer_pull(
   begin.quality = request.quality;
   begin.render_seconds = render_seconds;
   ship(tile_frame(frame, options_.tile_size), begin, last,
-       [&channel](net::Message msg) { (void)channel.send(std::move(msg)); }, report);
+       [&channel](std::span<const net::Message> reply) { (void)channel.send_batch(reply); },
+       report);
   account(report);
   return report;
 }
@@ -265,7 +272,49 @@ void FrameStreamReceiver::request_tile(uint64_t hash, uint16_t index) {
   ++stats_.miss_requests;
 }
 
-void FrameStreamReceiver::handle(const net::Message& msg) {
+void FrameStreamReceiver::handle_batch(const std::vector<net::Message>& batch) {
+  // Stage on this thread: read each TileData's header in place, check its
+  // codec and allocate its image here. Pool workers then only decode (and
+  // for a lossless class hash) into that storage; what they allocated
+  // would land in per-thread malloc arenas the process keeps.
+  const compress::CodecKind codec = compress::codec_for_quality(quality_);
+  const bool lossless = codec != compress::CodecKind::Quantize;
+  obs::Tracer& tracer = obs::Tracer::global();
+  std::vector<DecodedTile> tiles(batch.size());
+  std::vector<size_t> work;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].type != kMsgTileData) continue;
+    const auto data = view_tile_data(batch[i]);
+    if (!data.ok()) continue;
+    const auto encoded = compress::EncodedImage::read(data.value().encoded);
+    // Every sender encodes a class's tiles with that class's codec; a tile
+    // in another codec is not this stream's content, and storing it would
+    // let later refs to its hash resolve to it.
+    if (!encoded.ok() || encoded.value().codec != codec) continue;
+    DecodedTile& tile = tiles[i];
+    tile.ready = true;
+    tile.traced = tracer.enabled() && batch[i].traced();
+    tile.encoded = encoded.value();
+    tile.claimed_hash = data.value().hash;
+    tile.image = Image(tile.encoded.width, tile.encoded.height);
+    work.push_back(i);
+  }
+  const auto decode = [&](size_t k) {
+    DecodedTile& tile = tiles[work[k]];
+    if (tile.traced) tile.start = tracer.now();
+    tile.decoded = compress::make_codec(codec)->decode_into(tile.encoded, nullptr, tile.image);
+    // A lossless class decodes the source pixels exactly, so the tile
+    // must hash to what the message claims.
+    tile.verified = tile.decoded.ok() &&
+                    (!lossless || render::hash_image(tile.image) == tile.claimed_hash);
+    if (tile.traced) tile.end = tracer.now();
+  };
+  util::ThreadPool::shared().parallel_for(work.size(), decode);
+  for (size_t i = 0; i < batch.size(); ++i)
+    handle(batch[i], tiles[i].ready ? &tiles[i] : nullptr);
+}
+
+void FrameStreamReceiver::handle(const net::Message& msg, DecodedTile* tile) {
   switch (msg.type) {
     case kMsgFrameBegin: {
       const auto begin = decode_frame_begin(msg);
@@ -305,25 +354,29 @@ void FrameStreamReceiver::handle(const net::Message& msg) {
       const auto data = view_tile_data(msg);
       if (!data.ok()) return;
       stats_.bytes_received += msg.wire_size();
-      // Parent the decode under the context the message carried — the
-      // publisher's root directly, or the last relay hop it crossed.
-      obs::ScopedSpan decode_span("decode", receiver_host(), trace_of(msg));
-      const auto encoded = compress::EncodedImage::deserialize(data.value().encoded);
-      if (!encoded.ok()) return;
-      // Every sender encodes a class's tiles with that class's codec; a tile
-      // in another codec is not this stream's content, and storing it would
-      // let later refs to its hash resolve to it.
-      if (encoded.value().codec != compress::codec_for_quality(quality_)) return;
-      auto decoded =
-          compress::make_codec(encoded.value().codec)->decode(encoded.value(), nullptr);
-      if (!decoded.ok()) return;
-      // A lossless class decodes the source pixels exactly, so the tile
-      // must hash to what the message claims. One that does not (forged or
+      if (tile == nullptr) return;  // wrong codec or a truncated header
+      if (tile->traced) {
+        // The decode ran on a pool worker; its span is recorded here,
+        // because the host label is this thread's. It is parented under
+        // the context the message carried — the publisher's root directly,
+        // or the last relay hop it crossed.
+        obs::Tracer& tracer = obs::Tracer::global();
+        obs::SpanRecord span;
+        span.trace_id = msg.trace_id;
+        span.parent_span_id = msg.span_id;
+        span.span_id = tracer.next_span_id();
+        span.name = "decode";
+        span.host = receiver_host();
+        span.start = tile->start;
+        span.end = tile->end;
+        tracer.record(std::move(span));
+      }
+      if (!tile->decoded.ok()) return;
+      // A lossless tile that does not hash to its claim (forged or
       // corrupted) is dropped before it fills a slot or enters the store,
       // where it would answer every later ref to that hash; its open slot
       // asks upstream for the genuine content, as an unresolved ref does.
-      if (compress::codec_for_quality(quality_) != compress::CodecKind::Quantize &&
-          render::hash_image(decoded.value()) != data.value().hash) {
+      if (!tile->verified) {
         const uint16_t index = data.value().tile_index;
         if (assembly_.active && data.value().frame_id == assembly_.begin.frame_id &&
             index < assembly_.filled.size() && !assembly_.filled[index])
@@ -333,14 +386,14 @@ void FrameStreamReceiver::handle(const net::Message& msg) {
       ++stats_.data_tiles;
       if (assembly_.active) {
         if (data.value().frame_id == assembly_.begin.frame_id)
-          place(data.value().tile_index, decoded.value());
+          place(data.value().tile_index, tile->image);
         // A miss reply (from the publisher or any relay cache) resolves
         // every pending slot with this content, wherever it sits.
         auto [lo, hi] = assembly_.pending.equal_range(data.value().hash);
-        for (auto it = lo; it != hi; ++it) place(it->second, decoded.value());
+        for (auto it = lo; it != hi; ++it) place(it->second, tile->image);
         assembly_.pending.erase(lo, hi);
       }
-      store_.insert(data.value().hash, std::move(decoded).take());
+      store_.insert(data.value().hash, std::move(tile->image));
       return;
     }
     case kMsgFrameEnd: {
@@ -421,8 +474,11 @@ Result<Image> FrameStreamReceiver::next_frame(util::Clock& clock, double timeout
   for (;;) {
     if (pump) pump();
     if (auto msg = channel_->receive(pump ? 0.005 : timeout_seconds)) {
-      handle(*msg);
-      while (auto more = channel_->try_receive()) handle(*more);
+      // Drain what the channel holds and take it as one batch.
+      std::vector<net::Message> batch;
+      batch.push_back(*std::move(msg));
+      while (auto more = channel_->try_receive()) batch.push_back(*std::move(more));
+      handle_batch(batch);
     }
     if (complete()) {
       // Lossless classes can prove byte-identity against the source frame
@@ -463,9 +519,9 @@ void RelayTileCache::remember(const net::Message& msg) {
   // the message only when it becomes a cache entry.
   const auto data = view_tile_data(msg);
   if (!data.ok()) return;
-  const auto codec = compress::EncodedImage::peek_codec(data.value().encoded);
-  if (!codec.ok()) return;
-  const uint64_t key = cache_key(data.value().hash, codec.value());
+  const auto encoded = compress::EncodedImage::read(data.value().encoded);
+  if (!encoded.ok()) return;
+  const uint64_t key = cache_key(data.value().hash, encoded.value().codec);
   if (auto found = entries_.find(key); found != entries_.end()) {
     lru_.splice(lru_.begin(), lru_, found->second);
     return;

@@ -22,6 +22,7 @@
 #include <list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "obs/trace.hpp"
 #include "render/compositor.hpp"
 #include "util/clock.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rave::core {
 
@@ -81,7 +83,11 @@ class FrameStreamPublisher {
   };
   using FramePtr = std::shared_ptr<const TiledFrame>;
 
-  explicit FrameStreamPublisher(FrameStreamOptions options = {});
+  // `pool` encodes each frame's changed tiles in parallel (the render
+  // service passes its own); nullptr encodes them serially. The wire bytes
+  // are the same either way.
+  explicit FrameStreamPublisher(FrameStreamOptions options = {},
+                                util::ThreadPool* pool = nullptr);
 
   // Subscribe a downstream channel (a client, or a relay's upstream end)
   // to the given class's stream. Forces the next frame of that class to
@@ -129,14 +135,16 @@ class FrameStreamPublisher {
 
   // The one tile loop: FrameBegin, then per tile a TileRef when `last`
   // holds the same content at the same place, else the memo-encoded
-  // TileData, then FrameEnd — all through `send`, stamped with the calling
-  // thread's trace context (the frame's root span for a publish, the
-  // request's serve span for a pull). `last` becomes `frame`.
+  // TileData, then FrameEnd — stamped with the calling thread's trace
+  // context (the frame's root span for a publish, the request's serve span
+  // for a pull) and handed to `send` as one batch. `last` becomes `frame`.
   void ship(const FramePtr& frame, FrameBeginMsg begin, FramePtr& last,
-            const std::function<void(net::Message)>& send, FrameReport& report);
+            const std::function<void(std::span<const net::Message>)>& send,
+            FrameReport& report);
   void account(const FrameReport& report);
 
   FrameStreamOptions options_;
+  util::ThreadPool* pool_;
   std::array<Stream, compress::kQualityClassCount> streams_;
   compress::EncodeMemo memo_;
   uint32_t next_frame_id_ = 1;
@@ -198,7 +206,25 @@ class FrameStreamReceiver {
     double begin_received_at = 0;
   };
 
-  void handle(const net::Message& msg);
+  // A TileData decoded ahead of handle(): every TileData of a drained batch
+  // decodes on the shared pool into an image the receiving thread
+  // allocated; handle() then applies the batch in arrival order.
+  struct DecodedTile {
+    bool ready = false;  // in this stream's codec, with a readable header
+    bool traced = false;  // record a decode span for it
+    compress::EncodedView encoded;  // a view into the message
+    uint64_t claimed_hash = 0;      // the content hash the message carries
+    render::Image image;            // allocated by the receiving thread
+    util::Status decoded;           // the codec's verdict
+    // Decoded, and for a lossless class hashing to the claim (a lossy
+    // class's pixels cannot be checked against the source's hash).
+    bool verified = false;
+    double start = 0, end = 0;  // the decode span's times
+  };
+
+  // Decode the batch's TileData on the pool, then handle() each message.
+  void handle_batch(const std::vector<net::Message>& batch);
+  void handle(const net::Message& msg, DecodedTile* tile);
   // Frame-age gauge, delivery histograms, the assemble span, and the
   // late-frame post-mortem — runs once per completed frame.
   void observe_completion();

@@ -759,7 +759,8 @@ void RenderService::serve_frame(Client& client, const FrameRequest& request,
 }
 
 FrameStreamPublisher& RenderService::publisher(Replica& replica) {
-  if (!replica.stream) replica.stream = std::make_unique<FrameStreamPublisher>(options_.stream);
+  if (!replica.stream)
+    replica.stream = std::make_unique<FrameStreamPublisher>(options_.stream, options_.pool);
   return *replica.stream;
 }
 

@@ -59,9 +59,9 @@ class RenderService {
     // Frame delivery (tile grid, memo/store capacities) for pulls and
     // StreamSubscribe clients alike.
     FrameStreamOptions stream;
-    // Worker pool for vertex shading, ray casting and compositing: the
-    // process-wide shared pool by default, null = serial. Output is
-    // byte-identical either way.
+    // Worker pool for vertex shading, ray casting, compositing and stream
+    // tile encoding: the process-wide shared pool by default, null = serial.
+    // Output is byte-identical either way.
     util::ThreadPool* pool = &util::ThreadPool::shared();
   };
 

@@ -6,6 +6,13 @@
 
 namespace rave::net {
 
+std::vector<util::Status> Channel::send_batch(std::span<const Message> messages) {
+  std::vector<util::Status> sent;
+  sent.reserve(messages.size());
+  for (const Message& message : messages) sent.push_back(send(message));
+  return sent;
+}
+
 namespace {
 // Shared state for one direction of an in-process pair.
 struct Pipe {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -82,8 +83,8 @@ struct ChannelStats {
   // shed policy — backpressure made visible instead of a stalled sender.
   uint64_t messages_shed = 0;
   // Write-queue residency (reactor transport; zero elsewhere): the deepest
-  // this channel's bounded queue ever got, and the cumulative
-  // enqueue→sendmsg wait across fully-flushed frames. The per-peer answer
+  // this channel's bounded queue ever got, and the cumulative time frames
+  // waited for their socket (reactor.cpp defines it). The per-peer answer
   // to the process-wide rave_net_write_queue_* gauges — one stalled
   // subscriber shows up here, not smeared across the fleet.
   uint64_t queue_peak_depth = 0;
@@ -98,6 +99,13 @@ class Channel {
   // error is a silent message loss, the bug class the fault-tolerance
   // layer exists to surface. Use (void) to opt out deliberately.
   virtual util::Status send(Message message) = 0;
+
+  // Send a copy of each of `messages`, in order, exactly as one send() each
+  // would, and return each send's status. This default does just that; a
+  // transport that can take a batch at once overrides it (the reactor
+  // queues a subscriber's whole frame under one lock and gathers it into
+  // as few sendmsg calls as the socket allows).
+  virtual std::vector<util::Status> send_batch(std::span<const Message> messages);
 
   // The primary receive: blocks up to `timeout_seconds` (clock seconds)
   // and spells out the failure cause — "nothing arrived in time" versus

@@ -22,7 +22,7 @@ void FanoutHub::unsubscribe(SubscriberId id) {
                      subscribers_.end());
 }
 
-size_t FanoutHub::publish(const Message& message) {
+size_t FanoutHub::publish(std::span<const Message> messages) {
   // Snapshot under the lock, deliver outside it: channel sends may block
   // (simulated links, TCP backpressure) and must not serialize against
   // subscribe/unsubscribe or each other's bookkeeping.
@@ -31,16 +31,36 @@ size_t FanoutHub::publish(const Message& message) {
     std::lock_guard lock(mu_);
     snapshot = subscribers_;
   }
+  std::vector<bool> reached(messages.size(), false);
   size_t delivered = 0;
+  uint64_t unicast = 0;
   for (auto& sub : snapshot) {
-    if (sub.filter && !sub.filter(message)) continue;  // not counted anywhere
-    if (sub.channel->send(message).ok()) {
+    // A filtered subscriber gets the messages its filter passes; the rest
+    // are not counted anywhere.
+    std::vector<size_t> index;
+    std::vector<Message> passed;
+    if (sub.filter) {
+      for (size_t i = 0; i < messages.size(); ++i)
+        if (sub.filter(messages[i])) {
+          index.push_back(i);
+          passed.push_back(messages[i]);
+        }
+    }
+    const std::vector<util::Status> sent =
+        sub.channel->send_batch(sub.filter ? std::span<const Message>(passed) : messages);
+    for (size_t k = 0; k < sent.size(); ++k) {
+      if (!sent[k].ok()) continue;
+      const size_t i = sub.filter ? index[k] : k;
       ++delivered;
-      unicast_bytes_.fetch_add(message.wire_size(), std::memory_order_relaxed);
+      unicast += messages[i].wire_size();
+      reached[i] = true;
     }
   }
-  if (delivered > 0)
-    multicast_bytes_.fetch_add(message.wire_size(), std::memory_order_relaxed);
+  uint64_t multicast = 0;
+  for (size_t i = 0; i < messages.size(); ++i)
+    if (reached[i]) multicast += messages[i].wire_size();
+  unicast_bytes_.fetch_add(unicast, std::memory_order_relaxed);
+  multicast_bytes_.fetch_add(multicast, std::memory_order_relaxed);
   return delivered;
 }
 
@@ -94,27 +114,41 @@ size_t FanoutHub::subscriber_count() const {
 
 size_t FanoutRelay::pump() {
   size_t moved = 0;
-  // Downward: everything the upstream published since the last pump.
+  // Downward: everything the upstream published since the last pump, as
+  // one batch.
   if (upstream_) {
-    for (;;) {
-      auto msg = upstream_->try_receive();
-      if (!msg.has_value()) break;
-      ++moved;
+    std::vector<Message> batch;
+    // Each traced message gets a relay hop span, so a relayed frame's
+    // timeline records this hop and downstream spans (the next relay,
+    // subscriber queue-wait/decode) nest beneath it. A hop ends when its
+    // batch has been handed to every subscriber.
+    std::vector<obs::SpanRecord> hops;
+    obs::Tracer& tracer = obs::Tracer::global();
+    while (auto msg = upstream_->try_receive()) {
       if (tap_) tap_(*msg);
       ++stats_.forwarded_down;
       stats_.forwarded_down_bytes += msg->wire_size();
-      // Re-parent the downstream publish under a relay hop span. The old
-      // re-publish forwarded the message with its upstream context
-      // unchanged, so a relayed frame's timeline had no record this hop
-      // existed; now each relay contributes a span and downstream spans
-      // (the next relay, subscriber queue-wait/decode) nest beneath it.
-      obs::ScopedSpan hop("relay", host_,
-                          obs::TraceContext{msg->trace_id, msg->span_id});
-      if (hop.active()) {
-        msg->trace_id = hop.context().trace_id;
-        msg->span_id = hop.context().span_id;
+      if (msg->traced() && tracer.enabled()) {
+        obs::SpanRecord hop;
+        hop.trace_id = msg->trace_id;
+        hop.parent_span_id = msg->span_id;
+        hop.span_id = tracer.next_span_id();
+        hop.name = "relay";
+        hop.host = host_;
+        hop.start = tracer.now();
+        msg->span_id = hop.span_id;
+        hops.push_back(std::move(hop));
       }
-      hub_.publish(*msg);
+      batch.push_back(*std::move(msg));
+    }
+    moved += batch.size();
+    if (!batch.empty()) hub_.publish(batch);
+    if (!hops.empty()) {
+      const double end = tracer.now();
+      for (obs::SpanRecord& hop : hops) {
+        hop.end = end;
+        tracer.record(std::move(hop));
+      }
     }
   }
   // Upward: subscriber requests, served locally when the handler can.

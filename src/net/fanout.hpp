@@ -17,6 +17,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,11 +35,14 @@ class FanoutHub {
   SubscriberId subscribe(ChannelPtr channel, Filter filter = {});
   void unsubscribe(SubscriberId id);
 
-  // Send to all (filtered) subscribers. Returns the number of deliveries.
-  // The subscriber list is snapshotted under the lock and delivery runs
-  // outside it, so one slow or reentrant send cannot serialize the hub
-  // (or deadlock a subscriber that unsubscribes from inside its filter).
-  size_t publish(const Message& message);
+  // Send `messages` to all (filtered) subscribers, each subscriber's share
+  // as one Channel::send_batch. Returns the number of deliveries (messages
+  // times subscribers that took them). The subscriber list is snapshotted
+  // once under the lock and delivery runs outside it, so one slow or
+  // reentrant send cannot serialize the hub (or deadlock a subscriber that
+  // unsubscribes from inside its filter).
+  size_t publish(std::span<const Message> messages);
+  size_t publish(const Message& message) { return publish(std::span(&message, 1)); }
 
   // Send to one subscriber (reverse-path replies). Fails when the id is
   // gone.
@@ -54,9 +58,10 @@ class FanoutHub {
 
   [[nodiscard]] size_t subscriber_count() const;
 
-  // Bytes the payload would cost multicast (counted once per publish that
-  // reached anyone) vs unicast (counted per actual delivery — filtered-out
-  // and failed sends don't count) — the bandwidth saving the paper cites.
+  // Bytes the payload would cost multicast (counted once per published
+  // message that reached anyone) vs unicast (counted per actual delivery —
+  // filtered-out and failed sends don't count) — the bandwidth saving the
+  // paper cites.
   [[nodiscard]] uint64_t multicast_bytes() const {
     return multicast_bytes_.load(std::memory_order_relaxed);
   }
@@ -117,7 +122,8 @@ class FanoutRelay {
   void set_request_handler(RequestHandler handler) { handler_ = std::move(handler); }
   void set_downstream_tap(DownstreamTap tap) { tap_ = std::move(tap); }
 
-  // Forward pending traffic both ways; returns messages moved.
+  // Forward pending traffic both ways; returns messages moved. What the
+  // upstream holds goes down as one batch.
   size_t pump();
 
   [[nodiscard]] bool upstream_open() const { return upstream_ && upstream_->is_open(); }

@@ -41,6 +41,9 @@ constexpr uint16_t kHlcFlag = 0x4000;
 // A frame length beyond this is protocol corruption, not data: drop the
 // connection rather than try to allocate it.
 constexpr uint32_t kMaxFrameBytes = 1u << 30;
+// Queued frames gathered into one sendmsg (three iovecs each, well under
+// IOV_MAX): a subscriber's whole frame of tiles goes out in a few syscalls.
+constexpr size_t kGatherFrames = 64;
 
 void put_u32(uint8_t* p, uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
@@ -106,10 +109,11 @@ struct WriteItem {
   std::vector<uint8_t> body;
   Buffer tail;
   uint64_t wire_bytes = 0;
-  // Queue-wait attribution: when this frame entered the queue (tracer
-  // clock seconds) and the trace context it carries, so the enqueue→
-  // sendmsg residency becomes a "queue_wait" span on the frame's timeline.
-  double enqueued_at = 0;
+  // Queue-wait attribution (defined at flush_locked): when a sendmsg
+  // first found the socket full while this frame was queued (tracer clock
+  // seconds; negative while none has), and the trace context it carries,
+  // so the wait becomes a "queue_wait" span on the frame's timeline.
+  double blocked_at = -1;
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
 };
@@ -156,6 +160,7 @@ struct Conn {
   std::deque<Message> recv_q;
   std::deque<WriteItem> write_q;
   size_t write_off = 0;  // bytes of write_q.front() already on the wire
+  bool unflushed = false;  // frames queued since the last flush_locked
   size_t queued_bytes = 0;
   bool peer_closed = false;  // read side saw EOF or a socket error
   bool user_closed = false;  // close() called on our side
@@ -403,15 +408,27 @@ struct ReactorImpl : std::enable_shared_from_this<ReactorImpl> {
     return true;
   }
 
-  // Drain as much of the write queue as the socket accepts right now.
-  // c.mu held. Arms EPOLLOUT iff frames remain queued.
+  // Drain as much of the write queue as the socket accepts right now,
+  // gathering up to kGatherFrames queued frames per sendmsg. c.mu held.
+  // Arms EPOLLOUT iff frames remain queued.
+  //
+  // Queue wait, as queue_wait_seconds, rave_net_queue_wait_seconds and the
+  // "queue_wait" span count it, is the time a frame waited for its socket:
+  // from the first sendmsg that found the socket full (EAGAIN) while the
+  // frame was queued, until the sendmsg that put its last byte into the
+  // kernel was issued. A frame the socket takes in the flush that offered
+  // it waited 0, however many gathers that flush needed: it is charged
+  // neither for queueing its batch-mates nor for the syscalls that carry
+  // the frames ahead of it, which are the sender's own work: counted per
+  // frame, they would be summed once for every frame of a batch.
   void flush_locked(Conn& c) {
     if (c.fd_closed) return;
+    c.unflushed = false;
+    obs::Tracer& tracer = obs::Tracer::global();
     while (!c.write_q.empty()) {
-      const WriteItem& item = c.write_q.front();
-      iovec iov[3];
+      iovec iov[3 * kGatherFrames];
       int iovcnt = 0;
-      size_t skip = c.write_off;
+      size_t skip = c.write_off;  // bytes of the front frame already sent
       const auto add = [&](const void* base, size_t n) {
         if (skip >= n) {
           skip -= n;
@@ -422,48 +439,63 @@ struct ReactorImpl : std::enable_shared_from_this<ReactorImpl> {
         ++iovcnt;
         skip = 0;
       };
-      add(item.header, item.header_len);
-      add(item.body.data(), item.body.size());
-      add(item.tail.data(), item.tail.size());
+      size_t gathered = 0;
+      for (auto it = c.write_q.begin(); it != c.write_q.end() && gathered < kGatherFrames;
+           ++it, ++gathered) {
+        add(it->header, it->header_len);
+        add(it->body.data(), it->body.size());
+        add(it->tail.data(), it->tail.size());
+      }
       msghdr mh{};
       mh.msg_iov = iov;
       mh.msg_iovlen = static_cast<size_t>(iovcnt);
+      const double issued = tracer.now();
       const ssize_t w = ::sendmsg(c.fd, &mh, MSG_NOSIGNAL);
       if (w < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
+          // The socket is full: from here on, every queued frame waits.
+          for (auto it = c.write_q.rbegin(); it != c.write_q.rend() && it->blocked_at < 0; ++it)
+            it->blocked_at = issued;
           arm_write_locked(c, true);
           return;
         }
         fail_locked(c, std::string("reactor: send failed (") + std::strerror(errno) + ")");
         return;
       }
-      c.write_off += static_cast<size_t>(w);
-      if (c.write_off >= item.wire_bytes) {
-        c.write_off = 0;
+      // Retire every frame this write completed; a partly written one
+      // stays at the front with its offset.
+      size_t written = c.write_off + static_cast<size_t>(w);
+      bool retired = false;
+      while (!c.write_q.empty() && written >= c.write_q.front().wire_bytes) {
+        const WriteItem& item = c.write_q.front();
+        written -= item.wire_bytes;
         c.queued_bytes -= item.wire_bytes;
         queue_depth_gauge().add(-1);
         queue_bytes_gauge().add(-static_cast<double>(item.wire_bytes));
-        account_dequeue_locked(c, item);
+        account_dequeue_locked(c, item, issued);
         c.write_q.pop_front();
-        c.send_cv.notify_all();
+        retired = true;
       }
+      c.write_off = written;
+      if (retired) c.send_cv.notify_all();
     }
     arm_write_locked(c, false);
     if (c.linger) retire_locked(c);  // deferred close: queue just drained
   }
 
-  // A frame just left the queue for the kernel: charge its enqueue→sendmsg
-  // residency to the channel's stats, the process histogram, and — when
-  // both the frame and the tracer are tracing — a "queue_wait" span on the
-  // frame's timeline. c.mu held; Tracer::record only takes its own locks,
-  // never a Conn's, so the order conn->mu → tracer mu_ is acyclic.
-  void account_dequeue_locked(Conn& c, const WriteItem& item) {
-    obs::Tracer& tracer = obs::Tracer::global();
-    const double now = tracer.now();
-    const double wait = now > item.enqueued_at ? now - item.enqueued_at : 0;
+  // A frame just left the queue for the kernel by the sendmsg issued at
+  // `issued`: charge its queue wait (defined at flush_locked) to the
+  // channel's stats, the process histogram, and — when both the frame and
+  // the tracer are tracing — a "queue_wait" span on the frame's timeline.
+  // c.mu held; Tracer::record only takes its own locks, never a Conn's, so
+  // the order conn->mu → tracer mu_ is acyclic.
+  void account_dequeue_locked(Conn& c, const WriteItem& item, double issued) {
+    const double since = item.blocked_at < 0 ? issued : item.blocked_at;
+    const double wait = issued > since ? issued - since : 0;
     c.stats.queue_wait_seconds += wait;
     queue_wait_histogram().observe(wait);
+    obs::Tracer& tracer = obs::Tracer::global();
     if (item.trace_id != 0 && tracer.enabled()) {
       obs::SpanRecord span;
       span.trace_id = item.trace_id;
@@ -471,8 +503,8 @@ struct ReactorImpl : std::enable_shared_from_this<ReactorImpl> {
       span.span_id = tracer.next_span_id();
       span.name = "queue_wait";
       span.host = "reactor";
-      span.start = item.enqueued_at;
-      span.end = now;
+      span.start = since;
+      span.end = since + wait;
       tracer.record(std::move(span));
     }
   }
@@ -539,71 +571,34 @@ class ReactorChannel final : public Channel {
 
   ~ReactorChannel() override { close(); }
 
+  // A batch of one.
   Status send(Message message) override {
     auto impl = conn_->reactor.lock();
     std::unique_lock lock(conn_->mu);
-    Conn& c = *conn_;
-    if (c.user_closed) return make_error("reactor: channel closed");
-    if (c.peer_closed || c.fd_closed || !impl)
-      return make_error(c.peer_error.empty() ? "reactor: channel closed by peer" : c.peer_error);
-    const size_t limit = c.opts.write_queue_limit;
-    if (limit > 0 && c.write_q.size() >= limit) {
-      switch (c.opts.shed_policy) {
-        case ShedPolicy::Block: {
-          if (std::this_thread::get_id() != impl->loop_tid) {
-            c.send_cv.wait(lock, [&] {
-              return c.write_q.size() < limit || c.user_closed || c.peer_closed || c.fd_closed;
-            });
-            if (c.user_closed) return make_error("reactor: channel closed");
-            if (c.peer_closed || c.fd_closed)
-              return make_error(c.peer_error.empty() ? "reactor: channel closed by peer"
-                                                     : c.peer_error);
-            break;
-          }
-          // Blocking on the loop thread would deadlock (the flusher IS
-          // this thread) — shed instead.
-          [[fallthrough]];
-        }
-        case ShedPolicy::DropNewest:
-          c.stats.messages_shed++;
-          shed_counter().inc();
-          return make_error("reactor: write queue full (message shed)");
-        case ShedPolicy::DropOldest: {
-          if (c.write_off > 0 && c.write_q.size() == 1) {
-            // The only queued frame is already partially on the wire and
-            // cannot be evicted; shed the new frame instead.
-            c.stats.messages_shed++;
-            shed_counter().inc();
-            return make_error("reactor: write queue full (message shed)");
-          }
-          const auto victim = c.write_q.begin() + (c.write_off > 0 ? 1 : 0);
-          c.queued_bytes -= victim->wire_bytes;
-          queue_depth_gauge().add(-1);
-          queue_bytes_gauge().add(-static_cast<double>(victim->wire_bytes));
-          c.write_q.erase(victim);
-          c.stats.messages_shed++;
-          shed_counter().inc();
-          break;
-        }
-      }
+    Status sent = enqueue_locked(lock, impl.get(), std::move(message));
+    if (sent.ok()) sent = flush_inline(*impl);
+    return sent;
+  }
+
+  // The whole batch is queued under one lock, each message through the
+  // same shed policy send() applies, then flushed once: the socket sees
+  // gathered writes of up to kGatherFrames frames.
+  std::vector<Status> send_batch(std::span<const Message> messages) override {
+    auto impl = conn_->reactor.lock();
+    std::unique_lock lock(conn_->mu);
+    std::vector<Status> sent;
+    sent.reserve(messages.size());
+    bool queued = false;
+    for (const Message& message : messages) {
+      sent.push_back(enqueue_locked(lock, impl.get(), Message(message)));
+      queued = queued || sent.back().ok();
     }
-    WriteItem item = make_item(std::move(message));
-    item.enqueued_at = obs::Tracer::global().now();
-    const uint64_t wire_bytes = item.wire_bytes;
-    c.stats.messages_sent++;
-    c.stats.bytes_sent += wire_bytes;
-    c.queued_bytes += wire_bytes;
-    c.write_q.push_back(std::move(item));
-    if (c.write_q.size() > c.stats.queue_peak_depth)
-      c.stats.queue_peak_depth = c.write_q.size();
-    queue_depth_gauge().add(1);
-    queue_bytes_gauge().add(static_cast<double>(wire_bytes));
-    // Opportunistic inline flush from the sender's thread: on an idle
-    // socket the frame goes straight to the kernel with no loop handoff.
-    impl->flush_locked(c);
-    if (c.peer_closed)
-      return make_error(c.peer_error.empty() ? "reactor: channel closed by peer" : c.peer_error);
-    return {};
+    if (!queued) return sent;
+    const Status flushed = flush_inline(*impl);
+    if (!flushed.ok())
+      for (Status& status : sent)
+        if (status.ok()) status = flushed;
+    return sent;
   }
 
   Result<Message> receive_result(double timeout_seconds) override {
@@ -655,6 +650,83 @@ class ReactorChannel final : public Channel {
   }
 
  private:
+  Status closed_error_locked() const {
+    const Conn& c = *conn_;
+    if (c.user_closed) return make_error("reactor: channel closed");
+    return make_error(c.peer_error.empty() ? "reactor: channel closed by peer" : c.peer_error);
+  }
+
+  // Opportunistic inline flush from the sender's thread: on an idle socket
+  // the frames go straight to the kernel with no loop handoff.
+  Status flush_inline(ReactorImpl& impl) {
+    impl.flush_locked(*conn_);
+    return conn_->peer_closed ? closed_error_locked() : Status{};
+  }
+
+  Status shed_locked() {
+    conn_->stats.messages_shed++;
+    shed_counter().inc();
+    return make_error("reactor: write queue full (message shed)");
+  }
+
+  // Queue one frame under the write queue's bound and shed policy. When
+  // the queue is full but holds frames not yet offered to the socket (a
+  // batch being queued), they are flushed first, so a batch sheds exactly
+  // what one send() per message — each flushing as it goes — would shed.
+  Status enqueue_locked(std::unique_lock<std::mutex>& lock, ReactorImpl* impl,
+                        Message&& message) {
+    Conn& c = *conn_;
+    if (c.user_closed || c.peer_closed || c.fd_closed || impl == nullptr)
+      return closed_error_locked();
+    const size_t limit = c.opts.write_queue_limit;
+    if (limit > 0 && c.write_q.size() >= limit && c.unflushed) {
+      impl->flush_locked(c);
+      if (c.peer_closed || c.fd_closed) return closed_error_locked();
+    }
+    if (limit > 0 && c.write_q.size() >= limit) {
+      switch (c.opts.shed_policy) {
+        case ShedPolicy::Block: {
+          if (std::this_thread::get_id() != impl->loop_tid) {
+            c.send_cv.wait(lock, [&] {
+              return c.write_q.size() < limit || c.user_closed || c.peer_closed || c.fd_closed;
+            });
+            if (c.user_closed || c.peer_closed || c.fd_closed) return closed_error_locked();
+            break;
+          }
+          // Blocking on the loop thread would deadlock (the flusher IS
+          // this thread) — shed instead.
+          [[fallthrough]];
+        }
+        case ShedPolicy::DropNewest:
+          return shed_locked();
+        case ShedPolicy::DropOldest: {
+          // The only queued frame is already partially on the wire and
+          // cannot be evicted; shed the new frame instead.
+          if (c.write_off > 0 && c.write_q.size() == 1) return shed_locked();
+          const auto victim = c.write_q.begin() + (c.write_off > 0 ? 1 : 0);
+          c.queued_bytes -= victim->wire_bytes;
+          queue_depth_gauge().add(-1);
+          queue_bytes_gauge().add(-static_cast<double>(victim->wire_bytes));
+          c.write_q.erase(victim);
+          (void)shed_locked();
+          break;
+        }
+      }
+    }
+    WriteItem item = make_item(std::move(message));
+    const uint64_t wire_bytes = item.wire_bytes;
+    c.stats.messages_sent++;
+    c.stats.bytes_sent += wire_bytes;
+    c.queued_bytes += wire_bytes;
+    c.write_q.push_back(std::move(item));
+    c.unflushed = true;
+    if (c.write_q.size() > c.stats.queue_peak_depth)
+      c.stats.queue_peak_depth = c.write_q.size();
+    queue_depth_gauge().add(1);
+    queue_bytes_gauge().add(static_cast<double>(wire_bytes));
+    return {};
+  }
+
   std::shared_ptr<Conn> conn_;
 };
 

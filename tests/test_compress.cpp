@@ -5,7 +5,6 @@
 
 #include "compress/adaptive.hpp"
 #include "compress/codec.hpp"
-#include "util/hash.hpp"
 #include "util/simd.hpp"
 
 namespace rave::compress {
@@ -186,36 +185,29 @@ TEST(Adaptive, FrameSequenceStreamsDeltas) {
 }
 
 TEST(ContentHash, StableAcrossSimdLevelsAndEqualsSerializedBytes) {
-  // The fan-out tier's memo keys and tile refs assume content_hash is a
-  // pure function of the encoded bytes — identical whatever SIMD level
-  // encoded them, and identical to hashing serialize()'s output.
+  // The fan-out tier's memo shares one serialized tile per (content, class)
+  // and relays cache those bytes verbatim, so serialize() must be a pure
+  // function of the pixels: the same wire bytes whatever SIMD level encoded
+  // them (levels the host lacks clamp to scalar — still the same bytes).
   const util::SimdLevel before = util::active_simd_level();
   const Image original = gradient_image(64, 48, 7);
-  std::vector<uint64_t> hashes;
+  const std::vector<CodecKind> kinds = {CodecKind::Raw, CodecKind::Rle, CodecKind::Quantize};
+  std::vector<std::vector<uint8_t>> reference;
   for (const util::SimdLevel level :
        {util::SimdLevel::Scalar, util::SimdLevel::Sse2, util::SimdLevel::Avx2,
         util::SimdLevel::Neon}) {
     util::set_simd_level(level);
-    for (const CodecKind kind : {CodecKind::Raw, CodecKind::Rle, CodecKind::Quantize}) {
-      const EncodedImage encoded = make_codec(kind)->encode(original, nullptr);
-      const uint64_t hash = encoded.content_hash();
-      hashes.push_back(hash);
-      // Same value as FNV-1a over the serialized wire bytes.
-      uint64_t wire_hash = util::kFnvOffsetBasis;
-      const std::vector<uint8_t> wire = encoded.serialize();
-      wire_hash = util::fnv1a(wire_hash, wire.data(), wire.size());
-      EXPECT_EQ(hash, wire_hash) << codec_name(kind);
+    for (size_t k = 0; k < kinds.size(); ++k) {
+      const std::vector<uint8_t> wire = make_codec(kinds[k])->encode(original, nullptr).serialize();
+      if (reference.size() <= k) reference.push_back(wire);
+      EXPECT_EQ(wire, reference[k]) << codec_name(kinds[k]) << " at level "
+                                    << static_cast<int>(level);
     }
   }
   util::set_simd_level(before);
-  // Per codec, every level produced the same hash (levels the host lacks
-  // clamp to scalar — still the same value, which is the point).
-  const size_t per_level = 3;
-  for (size_t i = per_level; i < hashes.size(); ++i)
-    EXPECT_EQ(hashes[i], hashes[i % per_level]) << "codec slot " << i % per_level;
-  // And distinct codecs address distinct content.
-  EXPECT_NE(hashes[0], hashes[1]);
-  EXPECT_NE(hashes[1], hashes[2]);
+  // And distinct codecs serialize distinct content.
+  EXPECT_NE(reference[0], reference[1]);
+  EXPECT_NE(reference[1], reference[2]);
 }
 
 }  // namespace

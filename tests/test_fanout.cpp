@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <mutex>
 #include <set>
@@ -123,30 +124,33 @@ TEST(EncodeMemo, SharesEncodesAndTracksSavings) {
   compress::EncodeMemo memo(8);
   const Image tile = test_image(32, 32, 1);
   const uint64_t hash = render::hash_image(tile);
-  const auto first = memo.encode(hash, QualityClass::Pda, tile);
-  const auto again = memo.encode(hash, QualityClass::Pda, tile);
-  EXPECT_EQ(first.get(), again.get());  // shared, not re-encoded
+  const net::Buffer first = memo.encode_serialized(hash, QualityClass::Pda, tile);
+  const net::Buffer again = memo.encode_serialized(hash, QualityClass::Pda, tile);
+  EXPECT_EQ(first.data(), again.data());  // shared, not re-encoded
   EXPECT_EQ(memo.stats().misses, 1u);
   EXPECT_EQ(memo.stats().hits, 1u);
-  EXPECT_EQ(memo.stats().bytes_saved, first->byte_size());
+  EXPECT_EQ(memo.stats().bytes_saved, first.size());
   // A different class encodes separately even for the same content.
-  const auto lossless = memo.encode(hash, QualityClass::Workstation, tile);
-  EXPECT_NE(lossless->codec, first->codec);
+  const net::Buffer lossless = memo.encode_serialized(hash, QualityClass::Workstation, tile);
+  const auto codec_of = [](const net::Buffer& b) {
+    return compress::EncodedImage::read({b.data(), b.size()}).value().codec;
+  };
+  EXPECT_NE(codec_of(lossless), codec_of(first));
   EXPECT_EQ(memo.stats().misses, 2u);
-  EXPECT_NE(memo.lookup(hash, QualityClass::Workstation), nullptr);
-  EXPECT_EQ(memo.lookup(hash + 1, QualityClass::Workstation), nullptr);
+  EXPECT_TRUE(memo.contains(hash, QualityClass::Workstation));
+  EXPECT_FALSE(memo.contains(hash + 1, QualityClass::Workstation));
 }
 
 TEST(EncodeMemo, EvictsLeastRecentlyUsed) {
   compress::EncodeMemo memo(2);
   const Image a = test_image(8, 8, 1), b = test_image(8, 8, 2), c = test_image(8, 8, 3);
-  (void)memo.encode(1, QualityClass::Pda, a);
-  (void)memo.encode(2, QualityClass::Pda, b);
-  (void)memo.encode(1, QualityClass::Pda, a);  // refresh 1
-  (void)memo.encode(3, QualityClass::Pda, c);  // evicts 2
+  (void)memo.encode_serialized(1, QualityClass::Pda, a);
+  (void)memo.encode_serialized(2, QualityClass::Pda, b);
+  (void)memo.encode_serialized(1, QualityClass::Pda, a);  // refresh 1
+  (void)memo.encode_serialized(3, QualityClass::Pda, c);  // evicts 2
   EXPECT_EQ(memo.stats().evictions, 1u);
-  EXPECT_NE(memo.lookup(1, QualityClass::Pda), nullptr);
-  EXPECT_EQ(memo.lookup(2, QualityClass::Pda), nullptr);
+  EXPECT_TRUE(memo.contains(1, QualityClass::Pda));
+  EXPECT_FALSE(memo.contains(2, QualityClass::Pda));
   EXPECT_EQ(memo.size(), 2u);
 }
 
@@ -499,6 +503,116 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(compress::quality_name(std::get<0>(info.param))) + "_store" +
              std::to_string(std::get<1>(info.param));
     });
+
+// --- pooled frame coding -----------------------------------------------------
+
+// An orbit-like frame: a flat background, so many tiles of one frame share
+// a content hash, and a shaded disc whose centre circles the frame.
+Image orbit_frame(int w, int h, int step) {
+  Image img(w, h);
+  const double angle = 0.6 * step;
+  const double cx = w / 2.0 + w / 4.0 * std::cos(angle);
+  const double cy = h / 2.0 + h / 4.0 * std::sin(angle);
+  const double r = h / 3.0;
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x) {
+      const double dx = x - cx, dy = y - cy;
+      if (dx * dx + dy * dy < r * r)
+        img.set_pixel(x, y, static_cast<uint8_t>(128 + dx * 2), static_cast<uint8_t>(128 + dy * 2),
+                      static_cast<uint8_t>(step * 17));
+      else
+        img.set_pixel(x, y, 20, 30, 40);
+    }
+  return img;
+}
+
+// Publishing through a pool changes nothing a subscriber or an operator
+// can see: per class, the same wire messages in the same order, the same
+// assembled frames, the same FrameReports and the same memo accounting as
+// the serial publisher — with a memo smaller than one frame's data tiles
+// (so the frame's own misses evict entries it needs again) and background
+// tiles repeating one hash within a frame.
+TEST(FrameStream, PooledFramesEqualSerial) {
+  util::ThreadPool pool(4);
+  FrameStreamOptions options;
+  options.tile_size = 16;
+  options.encode_memo_capacity = 6;
+  const std::vector<QualityClass> classes = {QualityClass::Workstation, QualityClass::Pda,
+                                             QualityClass::Raw};
+  struct Wire {
+    uint16_t type;
+    std::vector<uint8_t> payload;
+    bool operator==(const Wire&) const = default;
+  };
+  struct Side {
+    explicit Side(FrameStreamOptions options, util::ThreadPool* pool)
+        : publisher(options, pool) {}
+    FrameStreamPublisher publisher;
+    std::vector<net::ChannelPtr> taps;      // what the publisher sent, per class
+    std::vector<net::ChannelPtr> forwards;  // into the receiver, per class
+    std::vector<std::unique_ptr<FrameStreamReceiver>> receivers;
+    std::vector<std::vector<Wire>> wire;
+    std::vector<FrameStreamPublisher::FrameReport> reports;
+    std::vector<std::vector<uint8_t>> frames;
+  };
+  Side pooled(options, &pool), serial(options, nullptr);
+  for (Side* side : {&pooled, &serial}) {
+    for (const QualityClass quality : classes) {
+      auto [pub_end, tap] = net::make_channel_pair();
+      side->publisher.subscribe(pub_end, quality);
+      side->taps.push_back(tap);
+      auto [forward, receive_end] = net::make_channel_pair();
+      side->forwards.push_back(forward);
+      side->receivers.push_back(
+          std::make_unique<FrameStreamReceiver>(receive_end, quality, options));
+    }
+    side->wire.resize(classes.size());
+  }
+
+  // FrameBegin carries the tracer clock's publish time: a frozen clock
+  // makes both publishers stamp the same one.
+  util::SimClock clock;
+  obs::Tracer::global().set_clock(&clock);
+  for (int step = 0; step < 10; ++step) {
+    const Image frame = orbit_frame(96, 64, step);
+    for (Side* side : {&pooled, &serial}) {
+      side->reports.push_back(side->publisher.publish_frame(frame));
+      for (size_t c = 0; c < classes.size(); ++c) {
+        while (auto msg = side->taps[c]->try_receive()) {
+          side->wire[c].push_back({msg->type, msg->payload});
+          ASSERT_TRUE(side->forwards[c]->send(*std::move(msg)).ok());
+        }
+        auto got = side->receivers[c]->next_frame(clock, 1.0);
+        ASSERT_TRUE(got.ok()) << "step " << step << ": " << got.error();
+        side->frames.push_back(got.value().rgb);
+      }
+    }
+  }
+  obs::Tracer::global().set_clock(nullptr);
+
+  for (size_t c = 0; c < classes.size(); ++c)
+    EXPECT_TRUE(pooled.wire[c] == serial.wire[c]) << compress::quality_name(classes[c]);
+  EXPECT_EQ(pooled.frames, serial.frames);
+  ASSERT_EQ(pooled.reports.size(), serial.reports.size());
+  for (size_t i = 0; i < pooled.reports.size(); ++i) {
+    const auto& a = pooled.reports[i];
+    const auto& b = serial.reports[i];
+    EXPECT_EQ(std::tie(a.frame_id, a.tiles_total, a.tiles_ref, a.tiles_data, a.ref_bytes,
+                       a.data_bytes, a.classes_published, a.trace_id),
+              std::tie(b.frame_id, b.tiles_total, b.tiles_ref, b.tiles_data, b.ref_bytes,
+                       b.data_bytes, b.classes_published, b.trace_id))
+        << "frame " << i;
+  }
+  const compress::EncodeMemo::Stats& pm = pooled.publisher.memo().stats();
+  const compress::EncodeMemo::Stats& sm = serial.publisher.memo().stats();
+  EXPECT_EQ(std::tie(pm.hits, pm.misses, pm.evictions, pm.bytes_saved),
+            std::tie(sm.hits, sm.misses, sm.evictions, sm.bytes_saved));
+  // The schedule exercised what it is meant to: repeats within a frame,
+  // and a memo too small for one frame.
+  EXPECT_GT(sm.hits, 0u);
+  EXPECT_GT(sm.evictions, 0u);
+  EXPECT_GT(sm.bytes_saved, 0u);
+}
 
 // --- relays ------------------------------------------------------------------
 

@@ -94,7 +94,7 @@ TEST(Fuzz, ProtocolDecodersRejectRandomPayloads) {
     (void)core::decode_frame_begin(msg);
     (void)core::decode_tile_ref(msg);
     if (const auto data = core::view_tile_data(msg); data.ok())
-      (void)compress::EncodedImage::peek_codec(data.value().encoded);
+      (void)compress::EncodedImage::read(data.value().encoded);
     (void)core::decode_frame_end(msg);
     (void)core::decode_tile_miss(msg);
     (void)core::decode_tile_assign(msg);

@@ -541,6 +541,177 @@ TEST(Reactor, FanoutHubSharesOneTailAcrossSubscribers) {
   sub_b->close();
 }
 
+// ------------------------------------------------------------ send_batch ----
+
+// The wire framing of an untraced, unstamped message: u32 LE payload
+// length, u16 LE type, payload, tail.
+std::vector<uint8_t> framed(const Message& m) {
+  std::vector<uint8_t> out;
+  const auto len = static_cast<uint32_t>(m.payload_size());
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(len >> (8 * i)));
+  out.push_back(static_cast<uint8_t>(m.type & 0xFF));
+  out.push_back(static_cast<uint8_t>(m.type >> 8));
+  out.insert(out.end(), m.payload.begin(), m.payload.end());
+  m.tail.append_to(out);
+  return out;
+}
+
+// `count` distinct frames of assorted sizes, every third one with a shared
+// tail, so a gathered write mixes one-, two- and three-piece frames.
+std::vector<Message> numbered_frames(size_t count, size_t max_bytes) {
+  std::vector<Message> out;
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<uint8_t> body(1 + (i * 7919) % max_bytes);
+    for (size_t b = 0; b < body.size(); ++b) body[b] = static_cast<uint8_t>(i + b * 31);
+    const auto type = static_cast<uint16_t>(0x0100 + i % 64);
+    if (i % 3 == 0)
+      out.emplace_back(type, std::vector<uint8_t>{static_cast<uint8_t>(i)},
+                       Buffer::take(std::move(body)));
+    else
+      out.emplace_back(type, std::move(body));
+  }
+  return out;
+}
+
+size_t framed_size(const std::vector<Message>& frames) {
+  size_t n = 0;
+  for (const Message& m : frames) n += m.wire_size();
+  return n;
+}
+
+TEST(Reactor, SendBatchKeepsOrderAndBytes) {
+  RawPeer peer;
+  peer.start();
+  ChannelPtr client = reactor_connect(peer.port, {});
+  peer.accept_one();
+
+  const std::vector<Message> frames = numbered_frames(300, 3000);
+  std::vector<uint8_t> expected;
+  for (const Message& m : frames) {
+    const std::vector<uint8_t> one = framed(m);
+    expected.insert(expected.end(), one.begin(), one.end());
+  }
+  std::vector<uint8_t> got;
+  std::thread reader([&] { got = peer.read_exactly(expected.size()); });
+  const std::vector<util::Status> sent = client->send_batch(frames);
+  ASSERT_EQ(sent.size(), frames.size());
+  for (const util::Status& status : sent) EXPECT_TRUE(status.ok()) << status.error();
+  reader.join();
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(client->stats().messages_sent, frames.size());
+  EXPECT_EQ(client->stats().bytes_sent, expected.size());
+  EXPECT_EQ(client->stats().messages_shed, 0u);
+  client->close();
+}
+
+TEST(Reactor, SendBatchResumesAfterPartialWrite) {
+  RawPeer peer;
+  peer.start();
+  ChannelPtr client = reactor_connect(peer.port, {});  // 32 KiB SO_SNDBUF
+  peer.accept_one();  // not reading yet: the first gather stops mid-frame
+
+  // ~1.5 MiB of odd-sized frames against a 32 KiB send buffer: the socket
+  // takes a prefix that ends inside some frame, and the loop thread must
+  // resume from that byte once the peer reads.
+  const std::vector<Message> frames = numbered_frames(120, 25'000);
+  const std::vector<util::Status> sent = client->send_batch(frames);
+  for (const util::Status& status : sent) ASSERT_TRUE(status.ok()) << status.error();
+  EXPECT_GE(client->stats().queue_peak_depth, 2u);
+
+  std::vector<uint8_t> expected;
+  for (const Message& m : frames) {
+    const std::vector<uint8_t> one = framed(m);
+    expected.insert(expected.end(), one.begin(), one.end());
+  }
+  EXPECT_EQ(peer.read_exactly(expected.size()), expected);
+  client->close();
+}
+
+// Per ShedPolicy: a batch larger than write_queue_limit against a peer
+// that does not read sheds exactly what one send() per message sheds, and
+// the frames that survive reach the peer byte for byte the same.
+TEST(Reactor, SendBatchShedsLikePerMessageSends) {
+  {
+    // An idle socket: one send() per message flushes each frame into the
+    // kernel, so a queue of 8 never fills. A batch of 300 small frames must
+    // not shed either: it flushes whenever its queue fills.
+    RawPeer peer;
+    peer.start();
+    ReactorChannelOptions opts;
+    opts.write_queue_limit = 8;
+    opts.shed_policy = ShedPolicy::DropNewest;
+    ChannelPtr client = reactor_connect(peer.port, opts);
+    peer.accept_one();
+    const std::vector<Message> frames = numbered_frames(300, 40);  // < the 32 KiB buffer
+    for (const util::Status& status : client->send_batch(frames))
+      EXPECT_TRUE(status.ok()) << status.error();
+    EXPECT_EQ(client->stats().messages_shed, 0u);
+    EXPECT_EQ(peer.read_exactly(framed_size(frames)).size(), framed_size(frames));
+    client->close();
+  }
+  for (const ShedPolicy policy : {ShedPolicy::DropNewest, ShedPolicy::DropOldest,
+                                  ShedPolicy::Block}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    ReactorChannelOptions opts;
+    opts.write_queue_limit = 8;
+    opts.shed_policy = policy;
+    std::vector<Message> big;
+    for (size_t i = 0; i < 24; ++i)
+      big.emplace_back(static_cast<uint16_t>(0x0100 + i),
+                       std::vector<uint8_t>(8 * 1024, static_cast<uint8_t>(i)));
+
+    struct Run {
+      std::vector<bool> accepted;
+      ChannelStats stats;
+      std::vector<uint8_t> received;
+    };
+    const auto run = [&](bool batched) {
+      RawPeer peer;
+      peer.start();
+      ChannelPtr client = reactor_connect(peer.port, opts);
+      peer.accept_one();
+      Run out;
+      // Fill the kernel's buffers first, so neither run can get a frame
+      // into them: what is kept or shed is then the write queue's doing
+      // alone, not how much the kernel happened to take per sendmsg.
+      const Message plug(0x00FF, std::vector<uint8_t>(512 * 1024, 0xEE));
+      EXPECT_TRUE(client->send(plug).ok());
+      const size_t all_bytes = plug.wire_size() + framed_size(big);
+      // Block never sheds; it waits for a reader, so only it gets one
+      // while sending.
+      std::thread reader;
+      if (policy == ShedPolicy::Block)
+        reader = std::thread([&] { out.received = peer.read_exactly(all_bytes); });
+      if (batched) {
+        for (const util::Status& status : client->send_batch(big))
+          out.accepted.push_back(status.ok());
+      } else {
+        for (const Message& m : big) out.accepted.push_back(client->send(m).ok());
+      }
+      out.stats = client->stats();
+      if (policy != ShedPolicy::Block) {
+        reader = std::thread([&] { out.received = peer.read_exactly(all_bytes); });
+        client->close();  // linger: flush what is queued, then FIN
+      }
+      reader.join();
+      client->close();
+      return out;
+    };
+    const Run single = run(false);
+    const Run batch = run(true);
+    EXPECT_EQ(batch.accepted, single.accepted);
+    EXPECT_EQ(batch.stats.messages_shed, single.stats.messages_shed);
+    EXPECT_EQ(batch.stats.messages_sent, single.stats.messages_sent);
+    EXPECT_EQ(batch.received, single.received);
+    if (policy == ShedPolicy::Block) {
+      EXPECT_EQ(batch.stats.messages_shed, 0u);
+      EXPECT_EQ(batch.received.size(), 512u * 1024 + 6 + framed_size(big));
+    } else {
+      EXPECT_GT(batch.stats.messages_shed, 0u);
+    }
+  }
+}
+
 // ---------------------------------------------------------------- fanout ----
 
 TEST(FanoutRelay, CountsUpstreamForwardFailures) {

@@ -31,6 +31,7 @@
 #include "mesh/marching_cubes.hpp"
 #include "core/grid.hpp"
 #include "obs/collector.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/hlc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -418,9 +419,10 @@ BENCHMARK(BM_Raycast)
 // adds and one cold load per would-be span) vs force-enabled under a root
 // span (every shade/raster stage recorded). The acceptance budget is
 // <2% regression for the disabled arm vs the pre-observability build.
-// Arg 0 = tracing off, 1 = tracing on, 2 = central collector scraping
-// this process's registry at 1 Hz of virtual time while frames render at
-// a ~60 fps virtual cadence (the telemetry plane's render-path cost).
+// Arg 0 = tracing off, 1 = tracing on, 2 = central collector pulling this
+// process's status snapshot (registry scrape + flight-recorder export) at
+// 1 Hz of virtual time while frames render at a ~60 fps virtual cadence
+// (the telemetry plane's render-path cost).
 // Frame-delivery arms: 3 = cached streaming (publisher → in-process
 // workstation subscriber) with the delivery instruments compiled in but
 // tracing off (the production default — the <2% budget applies here too),
@@ -514,8 +516,10 @@ void BM_ObsOverhead(benchmark::State& state) {
     obs::Collector::Options options;
     options.interval = 1.0;
     obs::Collector collector(clock, options);
-    collector.add_target({"bench", []() -> util::Result<std::string> {
-                            return obs::MetricsRegistry::global().scrape();
+    collector.add_target({"bench", []() -> util::Result<obs::HostSnapshot> {
+                            return obs::HostSnapshot{obs::MetricsRegistry::global().scrape(),
+                                                     obs::FlightRecorder::global().export_events(),
+                                                     {}};
                           }});
     for (auto _ : state) {
       render::RenderStats stats;

@@ -47,8 +47,8 @@ void cmd_ldap(core::RaveGrid& grid) {
 }
 
 // Pull the merged causally-ordered grid timeline: enable the health
-// plane (timeline collector pulling each host's flight recorder over
-// SOAP), run the demo session across both render hosts for a few virtual
+// plane (the collector pulling each host's status snapshot, flight
+// recorder included, over SOAP), run the demo session across both render hosts for a few virtual
 // seconds so the balancer has real load reports to decide (and record)
 // with, then poll every ring and print the merge.
 void cmd_timeline(util::SimClock& clock, core::RaveGrid& grid, core::DataService& data) {
@@ -66,7 +66,7 @@ void cmd_timeline(util::SimClock& clock, core::RaveGrid& grid, core::DataService
     (void)grid.render_service("tower")->render_console("Skull", cam, 64, 64);
     grid.pump_until_idle();
   }
-  (void)grid.timeline()->poll_now();
+  (void)grid.collector()->poll_now();
   std::printf("%s", grid.timeline_text().c_str());
 }
 

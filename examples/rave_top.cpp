@@ -200,9 +200,10 @@ int main(int argc, char** argv) {
   grid.enable_telemetry(collect, obs::default_render_slos(/*target_fps=*/10.0));
 
   // Health plane: blackbox canaries subscribing to the real frame stream
-  // (one probe per quality class per render host) plus the cross-host
-  // timeline collector pulling every flight recorder at 1 Hz. HLC
-  // stamping on, so the merged timeline orders causally, not by wall.
+  // (one probe per quality class per render host). The 1 Hz collector's
+  // snapshots already carry every flight recorder for the cross-host
+  // timeline. HLC stamping on, so the merged timeline orders causally,
+  // not by wall.
   obs::Hlc::global().set_enabled(true);
   obs::Canary::Options canary_options;
   canary_options.frame_timeout = 0.3;  // virtual seconds; keep misses cheap
@@ -266,6 +267,9 @@ int main(int argc, char** argv) {
       std::fputs(grid.telemetry_dashboard().c_str(), stdout);
   }
   if (timeline) {
+    // One last pull: the collector reads each ring before the SLO engine
+    // evaluates that tick, so the final round's notes land only now.
+    (void)grid.collector()->poll_now();
     std::printf("== grid timeline ==\n");
     std::fputs(grid.timeline_text().c_str(), stdout);
   }

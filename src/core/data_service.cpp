@@ -426,10 +426,9 @@ size_t DataService::pump_session(Session& session) {
     // the rebalance-interval cadence so the advisor is not hammered.
     for (const Subscriber& sub : session.subscribers) {
       if (!sub.alive || sub.kind != SubscriberKind::RenderService) continue;
-      if (advisor_(sub.host).slo_burning) {
-        pressure = true;
-        break;
-      }
+      for (const obs::Advisory& advisory : advisor_(sub.host))
+        pressure = pressure || advisory.burning();
+      if (pressure) break;
     }
   }
   if (pressure && options_.auto_rebalance &&
@@ -523,11 +522,11 @@ void DataService::recover_failed(Session& session) {
         (void)detector.heartbeat(key, sub.last_seen);
       else
         detector.watch(key, sub.last_seen);
-      if (health_advisor_ && sub.kind == SubscriberKind::RenderService) {
-        const obs::HealthVerdict verdict = health_advisor_(sub.host);
-        if (verdict.state == obs::HealthState::Unhealthy)
-          detector.condemn(key, verdict.reason.empty() ? std::string("canary unhealthy")
-                                                       : verdict.reason);
+      if (advisor_ && sub.kind == SubscriberKind::RenderService) {
+        for (const obs::Advisory& advisory : advisor_(sub.host))
+          if (advisory.condemns())
+            detector.condemn(key, advisory.reason.empty() ? std::string("canary unhealthy")
+                                                          : advisory.reason);
       }
     }
     for (const FailureDetector::Expiry& expiry : detector.collect_expired(now)) {
@@ -572,35 +571,7 @@ void DataService::recover_failed(Session& session) {
   for (const Subscriber& sub : session.subscribers) {
     if (sub.kind != SubscriberKind::RenderService) continue;
     if (!sub.alive && (sub.whole_tree || sub.interest.empty())) continue;  // nothing stranded
-    ServiceLoadView view;
-    view.subscriber_id = sub.id;
-    view.capacity = sub.capacity;
-    view.fps = sub.tracker.fps();
-    view.failed = !sub.alive;
-    if (sub.alive) {
-      view.overloaded = sub.tracker.overloaded(now);
-      view.underloaded = sub.tracker.underloaded(now);
-      if (advisor_) {
-        const TrendAdvisory trend = advisor_(sub.host);
-        view.slo_burning = trend.slo_burning;
-        view.anomaly = trend.anomaly;
-        view.advisory = trend.note;
-      }
-      if (health_advisor_) {
-        const obs::HealthVerdict verdict = health_advisor_(sub.host);
-        if (verdict.state >= obs::HealthState::Degraded) {
-          view.health_degraded = true;
-          view.health_note = verdict.reason;
-        }
-      }
-    }
-    if (sub.whole_tree) {
-      view.assigned = payload_costs(session.tree);
-    } else {
-      for (NodeId id : sub.interest)
-        if (session.tree.contains(id)) view.assigned.push_back(node_cost(session.tree, id));
-    }
-    price_volume_costs(sub, view.assigned);
+    ServiceLoadView view = load_view(session, sub, now);
     any_stranded = any_stranded || (view.failed && !view.assigned.empty());
     views.push_back(std::move(view));
   }
@@ -633,38 +604,34 @@ void DataService::recover_failed(Session& session) {
                          << session.last_failure_plan.size() << " re-dispatch action(s)";
 }
 
+ServiceLoadView DataService::load_view(const Session& session, const Subscriber& sub,
+                                       double now) const {
+  ServiceLoadView view;
+  view.subscriber_id = sub.id;
+  view.capacity = sub.capacity;
+  view.fps = sub.tracker.fps();
+  view.failed = !sub.alive;
+  if (sub.alive) {
+    view.overloaded = sub.tracker.overloaded(now);
+    view.underloaded = sub.tracker.underloaded(now);
+    if (advisor_) view.advisories = advisor_(sub.host);
+  }
+  if (sub.whole_tree) {
+    view.assigned = payload_costs(session.tree);
+  } else {
+    for (NodeId id : sub.interest)
+      if (session.tree.contains(id)) view.assigned.push_back(node_cost(session.tree, id));
+  }
+  price_volume_costs(sub, view.assigned);
+  return view;
+}
+
 std::vector<MigrationAction> DataService::rebalance_locked(Session& session) {
   std::vector<ServiceLoadView> views;
   const double now = clock_->now();
   for (const Subscriber& sub : session.subscribers) {
     if (!sub.alive || sub.kind != SubscriberKind::RenderService) continue;
-    ServiceLoadView view;
-    view.subscriber_id = sub.id;
-    view.capacity = sub.capacity;
-    view.fps = sub.tracker.fps();
-    view.overloaded = sub.tracker.overloaded(now);
-    view.underloaded = sub.tracker.underloaded(now);
-    if (advisor_) {
-      const TrendAdvisory trend = advisor_(sub.host);
-      view.slo_burning = trend.slo_burning;
-      view.anomaly = trend.anomaly;
-      view.advisory = trend.note;
-    }
-    if (health_advisor_) {
-      const obs::HealthVerdict verdict = health_advisor_(sub.host);
-      if (verdict.state >= obs::HealthState::Degraded) {
-        view.health_degraded = true;
-        view.health_note = verdict.reason;
-      }
-    }
-    if (sub.whole_tree) {
-      view.assigned = payload_costs(session.tree);
-    } else {
-      for (NodeId id : sub.interest)
-        if (session.tree.contains(id)) view.assigned.push_back(node_cost(session.tree, id));
-    }
-    price_volume_costs(sub, view.assigned);
-    views.push_back(std::move(view));
+    views.push_back(load_view(session, sub, now));
   }
 
   MigrationConfig config;

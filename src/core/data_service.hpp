@@ -105,22 +105,17 @@ class DataService {
   using RecruitFn = std::function<size_t(const std::string& session)>;
   void set_recruiter(RecruitFn recruiter) { recruiter_ = std::move(recruiter); }
 
-  // Trend advisor: consulted per subscriber host when building planner
-  // inputs, so plan_migration sees sustained SLO burn / step-change
-  // anomalies from the telemetry plane next to the instant EWMA flags.
-  // An advisory with slo_burning also *triggers* a rebalance round (at
-  // the usual rebalance_interval cadence) even when no load report has
-  // tripped the EWMA thresholds yet.
-  using TrendAdvisorFn = std::function<TrendAdvisory(const std::string& host)>;
-  void set_trend_advisor(TrendAdvisorFn advisor) { advisor_ = std::move(advisor); }
-
-  // Health advisor: consulted per render-service host when the failure
-  // detector runs. An Unhealthy canary verdict *condemns* the service —
-  // it is evicted (and its nodes re-dispatched) on the next detector
-  // round, before its lease would expire. A Degraded verdict rides onto
-  // the planner views as a health advisory (no eviction).
-  using HealthAdvisorFn = std::function<obs::HealthVerdict(const std::string& host)>;
-  void set_health_advisor(HealthAdvisorFn advisor) { health_advisor_ = std::move(advisor); }
+  // Advisor: the telemetry and health planes' judgement of one render
+  // host, consulted when building planner inputs so plan_migration sees
+  // sustained SLO burns, step-change anomalies and canary verdicts next
+  // to the instant EWMA flags. A Critical trend advisory (an SLO burn)
+  // also *triggers* a rebalance round (at the usual rebalance_interval
+  // cadence) even when no load report has tripped the EWMA thresholds
+  // yet. A Critical canary advisory (an Unhealthy verdict) *condemns* the
+  // service: it is evicted (and its nodes re-dispatched) on the next
+  // failure-detector round, before its lease would expire.
+  using AdvisorFn = std::function<std::vector<obs::Advisory>(const std::string& host)>;
+  void set_advisor(AdvisorFn advisor) { advisor_ = std::move(advisor); }
 
   // The full explain summary (inputs, rejections, chosen actions) of the
   // most recent planning round for `session` — the same text the flight
@@ -209,6 +204,9 @@ class DataService {
                        scene::NodeId node) const;
   std::vector<MigrationAction> rebalance_locked(Session& session);
   void apply_actions(Session& session, const std::vector<MigrationAction>& actions);
+  // The planner's input for one render-service subscriber: capacity, load
+  // flags and advisories (alive only), and its priced assigned nodes.
+  ServiceLoadView load_view(const Session& session, const Subscriber& sub, double now) const;
   // Attach the measured rays/s pricing to volume nodes in `costs`: the
   // node's reported ray demand converted into polygon-equivalent work
   // units (rays * polygons_per_sec / rays_per_sec), so the planner and the
@@ -224,8 +222,7 @@ class DataService {
   std::vector<net::ChannelPtr> pending_;  // connected, not yet subscribed
   uint64_t next_subscriber_id_ = 1;
   RecruitFn recruiter_;
-  TrendAdvisorFn advisor_;
-  HealthAdvisorFn health_advisor_;
+  AdvisorFn advisor_;
   Stats stats_;
 };
 

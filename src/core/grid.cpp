@@ -51,8 +51,7 @@ RaveGrid::Host& RaveGrid::host_slot(const std::string& name) {
   });
   host.soap_access_point = access.ok() ? access.value() : "";
   Host& slot = hosts_.emplace(name, std::move(host)).first->second;
-  if (collector_) add_scrape_target(slot);  // hosts added after enable_telemetry
-  if (timeline_) add_timeline_target(slot);  // hosts added after enable_health_plane
+  if (collector_) add_scrape_target(slot);  // hosts added after either plane is up
   return slot;
 }
 
@@ -71,8 +70,7 @@ DataService& RaveGrid::add_data_service(const std::string& host_name,
     host.data->set_recruiter([this, host_name](const std::string& session) {
       return recruit(host_name, session);
     });
-    if (slo_) wire_trend_advisor(*host.data);
-    if (canary_) wire_health_advisor(*host.data);
+    if (slo_ || canary_) wire_advisor(*host.data);
     register_status_endpoint(*host.container, host_name, host.data.get(), host.render.get(),
                              health_report_fn(host_name));
   }
@@ -202,12 +200,11 @@ size_t RaveGrid::pump_all() {
     if (host.data) handled += host.data->pump();
     if (host.render) handled += host.render->pump();
   }
-  // Telemetry rides the pump loop but never counts as progress: scrape
+  // Collection rides the pump loop but never counts as progress: pull
   // attempts happen at most once per interval per target, and counting
   // them would keep pump_until_idle from ever seeing the grid quiesce.
   if (collector_ && collector_->tick() > 0 && slo_)
     slo_->evaluate(collector_->store(), clock_->now());
-  if (timeline_) timeline_->tick();
   return handled;
 }
 
@@ -245,68 +242,47 @@ std::string RaveGrid::status_dashboard() { return format_dashboard(collect_statu
 
 void RaveGrid::enable_telemetry(obs::Collector::Options options,
                                 std::vector<obs::SloSpec> slos) {
-  if (collector_) return;  // idempotent: one telemetry plane per grid
-  collector_ = std::make_unique<obs::Collector>(*clock_, options);
+  if (slo_) return;  // idempotent: one telemetry plane per grid
   slo_ = std::make_unique<obs::SloEngine>();
   for (obs::SloSpec& spec : slos) slo_->add(std::move(spec));
-  for (auto& [name, host] : hosts_) {
-    add_scrape_target(host);
-    if (host.data) wire_trend_advisor(*host.data);
-  }
+  if (!collector_) build_collector(options);
+  for (auto& [name, host] : hosts_)
+    if (host.data) wire_advisor(*host.data);
+}
+
+void RaveGrid::enable_health_plane(obs::Canary::Options canary_options) {
+  if (canary_) return;  // idempotent: one health plane per grid
+  canary_ = std::make_unique<obs::Canary>(*clock_, fabric_, canary_options);
+  if (!collector_) build_collector({});
+  for (auto& [name, host] : hosts_)
+    if (host.data) wire_advisor(*host.data);
+}
+
+void RaveGrid::build_collector(obs::Collector::Options options) {
+  collector_ = std::make_unique<obs::Collector>(*clock_, options);
+  for (auto& [name, host] : hosts_) add_scrape_target(host);
 }
 
 void RaveGrid::add_scrape_target(Host& host) {
   const std::string name = host.name;
-  collector_->add_target({name, [this, name]() -> util::Result<std::string> {
+  collector_->add_target({name, [this, name]() -> util::Result<obs::HostSnapshot> {
     auto it = hosts_.find(name);
     if (it == hosts_.end()) return make_error("scrape: unknown host " + name);
     // Reachability gate: the dial goes through the fabric (and any
     // injected faults or dropped listeners), with the same bounded retry
     // schedule the rest of the grid uses — so a killed host fails here
-    // and records a gap. The exposition itself is then dispatched
-    // directly on the container, single-threaded and deterministic.
+    // and records a gap. The snapshot itself is then dispatched directly
+    // on the container, single-threaded and deterministic.
     auto probe = fabric_.dial_retry(it->second.soap_access_point, scrape_retry_, *clock_);
     if (!probe.ok()) return make_error(probe.error());
     probe.value()->close();
     services::SoapCall call;
     call.service = "status";
-    call.method = "metrics";
+    call.method = "snapshot";
     call.call_id = 1;
     const services::SoapResponse response = it->second.container->dispatch(call);
     if (response.is_fault) return make_error(response.fault_message);
-    return response.result.as_string();
-  }});
-}
-
-void RaveGrid::enable_health_plane(obs::Canary::Options canary_options,
-                                   obs::TimelineCollector::Options timeline_options) {
-  if (canary_) return;  // idempotent: one health plane per grid
-  canary_ = std::make_unique<obs::Canary>(*clock_, fabric_, canary_options);
-  timeline_ = std::make_unique<obs::TimelineCollector>(*clock_, timeline_options);
-  for (auto& [name, host] : hosts_) {
-    add_timeline_target(host);
-    if (host.data) wire_health_advisor(*host.data);
-  }
-}
-
-void RaveGrid::add_timeline_target(Host& host) {
-  const std::string name = host.name;
-  timeline_->add_target({name, [this, name]() -> util::Result<std::string> {
-    auto it = hosts_.find(name);
-    if (it == hosts_.end()) return make_error("timeline: unknown host " + name);
-    // Same reachability gate as the metrics scrape: the dial goes through
-    // the fabric (and any injected faults), so a killed host records a
-    // timeline *gap* — the merged view keeps its last pulled events.
-    auto probe = fabric_.dial_retry(it->second.soap_access_point, scrape_retry_, *clock_);
-    if (!probe.ok()) return make_error(probe.error());
-    probe.value()->close();
-    services::SoapCall call;
-    call.service = "status";
-    call.method = "flight";
-    call.call_id = 1;
-    const services::SoapResponse response = it->second.container->dispatch(call);
-    if (response.is_fault) return make_error(response.fault_message);
-    return response.result.as_string();
+    return parse_status_snapshot(response.result);
   }});
 }
 
@@ -321,13 +297,20 @@ void RaveGrid::watch_streams(const std::string& session) {
 }
 
 std::string RaveGrid::timeline_text() {
-  if (!timeline_) return "";
-  return obs::format_timeline(timeline_->merged());
+  if (!collector_) return "";
+  return obs::format_timeline(collector_->merged());
 }
 
-void RaveGrid::wire_health_advisor(DataService& data) {
-  data.set_health_advisor([this](const std::string& host) {
-    return canary_ ? canary_->verdict(host) : obs::HealthVerdict{};
+void RaveGrid::wire_advisor(DataService& data) {
+  // Evaluated per call, so a plane enabled after the data service answers.
+  data.set_advisor([this](const std::string& host) {
+    std::vector<obs::Advisory> advisories;
+    if (slo_) advisories = slo_->advisories(host);
+    if (canary_) {
+      if (auto canary = obs::advisory_of(canary_->verdict(host)))
+        advisories.push_back(std::move(*canary));
+    }
+    return advisories;
   });
 }
 
@@ -340,17 +323,6 @@ HealthReportFn RaveGrid::health_report_fn(const std::string& host) {
     verdict.host = host;
     return verdict;
   };
-}
-
-void RaveGrid::wire_trend_advisor(DataService& data) {
-  data.set_trend_advisor([this](const std::string& host) {
-    const obs::TrendAdvisory trend = slo_->advisory(host);
-    TrendAdvisory out;
-    out.slo_burning = trend.slo_burning;
-    out.anomaly = trend.anomaly;
-    out.note = trend.note;
-    return out;
-  });
 }
 
 std::string RaveGrid::telemetry_dashboard() {

@@ -6,6 +6,48 @@
 namespace rave::core {
 
 namespace {
+using obs::Advisory;
+
+// A view's advisories, split the way explain text and rejections read
+// them: trend (SLO burn, anomaly) and canary, each with its reasons
+// joined by "; ".
+struct Advice {
+  bool burning = false;  // a Critical trend advisory: an SLO burn
+  bool anomaly = false;
+  bool trend = false;
+  bool canary = false;
+  std::string trend_note;
+  std::string canary_note;
+};
+
+Advice advice_of(const ServiceLoadView& s) {
+  Advice advice;
+  for (const Advisory& a : s.advisories) {
+    const bool canary = a.source == Advisory::Source::Canary;
+    (canary ? advice.canary : advice.trend) = true;
+    advice.burning = advice.burning || a.burning();
+    advice.anomaly = advice.anomaly || a.source == Advisory::Source::Anomaly;
+    std::string& note = canary ? advice.canary_note : advice.trend_note;
+    if (!note.empty()) note += "; ";
+    note += a.reason;
+  }
+  return advice;
+}
+
+// Why an advised service may not take more work ("" when nothing advises
+// against it): "<trend|health> advisory <what>: <reasons>". Trend
+// advisories take precedence over the canary's.
+std::string advisory_rejection(const ServiceLoadView& s, const char* what) {
+  const Advice advice = advice_of(s);
+  if (advice.trend)
+    return std::string("trend advisory ") + what + ": " +
+           (advice.trend_note.empty() ? "slo burn/anomaly" : advice.trend_note);
+  if (advice.canary)
+    return std::string("health advisory ") + what + ": " +
+           (advice.canary_note.empty() ? "canary degraded" : advice.canary_note);
+  return "";
+}
+
 double headroom_of(const ServiceLoadView& s, const MigrationConfig& config) {
   return s.capacity.polygon_budget(config.target_fps) - s.assigned_work();
 }
@@ -14,6 +56,7 @@ void explain_inputs(MigrationExplain* explain, const std::vector<ServiceLoadView
                     const MigrationConfig& config) {
   if (explain == nullptr) return;
   for (const ServiceLoadView& s : services) {
+    const Advice advice = advice_of(s);
     char line[192];
     std::snprintf(line, sizeof(line),
                   "service %llu: budget=%.0f work=%.0f fps=%.2f nodes=%zu%s%s%s%s%s",
@@ -21,11 +64,11 @@ void explain_inputs(MigrationExplain* explain, const std::vector<ServiceLoadView
                   s.capacity.polygon_budget(config.target_fps), s.assigned_work(), s.fps,
                   s.assigned.size(), s.failed ? " FAILED" : "",
                   s.overloaded ? " overloaded" : "", s.underloaded ? " underloaded" : "",
-                  s.slo_burning ? " slo-burn" : "", s.anomaly ? " anomaly" : "");
+                  advice.burning ? " slo-burn" : "", advice.anomaly ? " anomaly" : "");
     std::string rendered = line;
-    if (s.health_degraded) rendered += " health-degraded";
-    if (!s.advisory.empty()) rendered += " [" + s.advisory + "]";
-    if (!s.health_note.empty()) rendered += " [health: " + s.health_note + "]";
+    if (advice.canary) rendered += " health-degraded";
+    if (!advice.trend_note.empty()) rendered += " [" + advice.trend_note + "]";
+    if (!advice.canary_note.empty()) rendered += " [health: " + advice.canary_note + "]";
     explain->inputs.push_back(std::move(rendered));
     // Volume nodes priced by the measured rays/s model get their own
     // line, so a plan can be audited against what the marcher reported.
@@ -81,13 +124,13 @@ std::vector<MigrationAction> plan_migration(std::vector<ServiceLoadView> service
   // overload phase below then sheds or recruits as usual.
   for (ServiceLoadView& dead : services) {
     if (!dead.failed || dead.assigned.empty()) continue;
-    // Healthy survivors first; a trend-flagged survivor only receives
-    // orphans when nobody healthy is left (a degraded frame rate still
+    // Unadvised survivors first; an advised survivor only receives
+    // orphans when nobody unadvised is left (a degraded frame rate still
     // beats a hole in the scene).
     std::vector<ServiceLoadView*> survivors;
     for (ServiceLoadView& candidate : services)
       if (!candidate.failed && candidate.subscriber_id != dead.subscriber_id &&
-          !candidate.slo_burning && !candidate.anomaly && !candidate.health_degraded)
+          candidate.advisories.empty())
         survivors.push_back(&candidate);
     if (survivors.empty()) {
       for (ServiceLoadView& candidate : services)
@@ -95,17 +138,11 @@ std::vector<MigrationAction> plan_migration(std::vector<ServiceLoadView> service
           survivors.push_back(&candidate);
     } else {
       for (const ServiceLoadView& candidate : services) {
-        if (candidate.failed || candidate.subscriber_id == dead.subscriber_id) continue;
-        if (candidate.slo_burning || candidate.anomaly)
-          reject(explain, candidate.subscriber_id,
-                 "trend advisory disqualifies survivor: " +
-                     (candidate.advisory.empty() ? std::string("slo burn/anomaly")
-                                                 : candidate.advisory));
-        else if (candidate.health_degraded)
-          reject(explain, candidate.subscriber_id,
-                 "health advisory disqualifies survivor: " +
-                     (candidate.health_note.empty() ? std::string("canary degraded")
-                                                    : candidate.health_note));
+        if (candidate.failed || candidate.subscriber_id == dead.subscriber_id ||
+            candidate.advisories.empty())
+          continue;
+        reject(explain, candidate.subscriber_id,
+               advisory_rejection(candidate, "disqualifies survivor"));
       }
     }
     if (survivors.empty()) {
@@ -151,7 +188,8 @@ std::vector<MigrationAction> plan_migration(std::vector<ServiceLoadView> service
     if (overloaded.failed) continue;
     // A sustained SLO burn is overload pressure even while the instant
     // EWMA flag is still quiet — the trend arrives before the average.
-    if ((!overloaded.overloaded && !overloaded.slo_burning) || overloaded.assigned.empty())
+    if ((!overloaded.overloaded && !advice_of(overloaded).burning) ||
+        overloaded.assigned.empty())
       continue;
     // How much work must leave for the service to meet its budget.
     double deficit = overloaded.assigned_work() -
@@ -169,18 +207,9 @@ std::vector<MigrationAction> plan_migration(std::vector<ServiceLoadView> service
       if (candidate.subscriber_id == overloaded.subscriber_id || candidate.overloaded ||
           candidate.failed)
         continue;
-      if (candidate.slo_burning || candidate.anomaly) {
+      if (!candidate.advisories.empty()) {
         reject(explain, candidate.subscriber_id,
-               "trend advisory disqualifies receiver: " +
-                   (candidate.advisory.empty() ? std::string("slo burn/anomaly")
-                                               : candidate.advisory));
-        continue;
-      }
-      if (candidate.health_degraded) {
-        reject(explain, candidate.subscriber_id,
-               "health advisory disqualifies receiver: " +
-                   (candidate.health_note.empty() ? std::string("canary degraded")
-                                                  : candidate.health_note));
+               advisory_rejection(candidate, "disqualifies receiver"));
         continue;
       }
       receivers.push_back(&candidate);
@@ -229,19 +258,10 @@ std::vector<MigrationAction> plan_migration(std::vector<ServiceLoadView> service
   for (ServiceLoadView& underloaded : services) {
     if (underloaded.failed) continue;
     if (!underloaded.underloaded || underloaded.overloaded) continue;
-    // Never pull extra work into a service the telemetry plane flags.
-    if (underloaded.slo_burning || underloaded.anomaly) {
+    // Never pull extra work into an advised service.
+    if (!underloaded.advisories.empty()) {
       reject(explain, underloaded.subscriber_id,
-             "trend advisory blocks underload fill: " +
-                 (underloaded.advisory.empty() ? std::string("slo burn/anomaly")
-                                               : underloaded.advisory));
-      continue;
-    }
-    if (underloaded.health_degraded) {
-      reject(explain, underloaded.subscriber_id,
-             "health advisory blocks underload fill: " +
-                 (underloaded.health_note.empty() ? std::string("canary degraded")
-                                                  : underloaded.health_note));
+             advisory_rejection(underloaded, "blocks underload fill"));
       continue;
     }
     const double headroom = headroom_of(underloaded, config) * config.headroom_fill_fraction;

@@ -11,6 +11,7 @@
 
 #include "core/capacity.hpp"
 #include "core/distribution.hpp"
+#include "obs/health.hpp"
 
 namespace rave::core {
 
@@ -24,21 +25,16 @@ struct ServiceLoadView {
   // Its whole assigned set is reassigned to survivors before any load
   // balancing; it neither donates nor receives in the other phases.
   bool failed = false;
-  // Trend advisories from the telemetry plane (SLO burn sustained over a
-  // rolling window, or a windowed step-change anomaly). Advisory, not
-  // authoritative: a burning service sheds work even when the instant
-  // EWMA flag is quiet, and neither burning nor anomalous services are
-  // chosen as receivers — but ServiceFailed always wins.
-  bool slo_burning = false;
-  bool anomaly = false;
-  std::string advisory;  // why, verbatim from the SLO engine, for explain
-  // Canary health advisory (health plane): a Degraded/Unhealthy blackbox
-  // verdict disqualifies the service as a receiver, same precedence as
-  // the trend advisories above. Eviction of Unhealthy services happens in
-  // the failure detector (they arrive here as failed=true); this flag
-  // covers the sick-but-not-yet-evicted window.
-  bool health_degraded = false;
-  std::string health_note;  // canary reason, verbatim, for explain
+  // Advisories from the telemetry plane (SLO burn sustained over a
+  // rolling window, a windowed step-change anomaly) and the health plane
+  // (a Degraded/Unhealthy canary verdict). Advisory, not authoritative: a
+  // service with a Critical trend advisory (an SLO burn) sheds work even
+  // when the instant EWMA flag is quiet, and no advised service is chosen
+  // as a receiver — but ServiceFailed always wins. Eviction of Unhealthy
+  // services happens in the failure detector (they arrive here as
+  // failed=true); a canary advisory covers the sick-but-not-yet-evicted
+  // window.
+  std::vector<obs::Advisory> advisories;
   std::vector<NodeCost> assigned;
 
   [[nodiscard]] double assigned_work() const {
@@ -66,15 +62,6 @@ struct MigrationConfig {
   // Fraction of a receiver's headroom migration may fill in one step —
   // the safety margin against overshooting.
   double headroom_fill_fraction = 0.8;
-};
-
-// Trend advisory for one host, produced by the telemetry plane's SLO
-// engine and copied onto ServiceLoadView before planning. Kept as a plain
-// core type so decision logic does not depend on obs headers.
-struct TrendAdvisory {
-  bool slo_burning = false;
-  bool anomaly = false;
-  std::string note;
 };
 
 // Why the planner chose what it chose: the capacity inputs it saw and the

@@ -123,49 +123,47 @@ void register_status_endpoint(services::ServiceContainer& container, const std::
         return SoapValue{std::move(out)};
       });
 
-  // The registry scrape, as one text blob: what a Prometheus-style
-  // collector would pull from this host.
-  container.register_method("status", "metrics", [](const SoapList&) -> Result<SoapValue> {
-    return SoapValue{obs::MetricsRegistry::global().scrape()};
-  });
-
-  // The flight-recorder export, as one text blob: what the timeline
-  // collector pulls to build the merged cross-host timeline.
-  container.register_method("status", "flight", [](const SoapList&) -> Result<SoapValue> {
-    return SoapValue{obs::FlightRecorder::global().export_events()};
-  });
-
-  // The canary verdict for this host's render service. Always registered:
-  // an unwired host answers "unknown", so pollers need no special case.
-  container.register_method("status", "health",
-                            [host, health](const SoapList&) -> Result<SoapValue> {
-                              HealthVerdict verdict;
-                              if (health) verdict = health();
-                              SoapStruct out;
-                              out["host"] = verdict.host.empty() ? host : verdict.host;
-                              out["state"] = std::string(to_string(verdict.state));
-                              out["reason"] = verdict.reason;
-                              out["framesOk"] = static_cast<int64_t>(verdict.frames_ok);
-                              out["framesLate"] = static_cast<int64_t>(verdict.frames_late);
-                              out["framesFailed"] = static_cast<int64_t>(verdict.frames_failed);
-                              out["joinSeconds"] = verdict.join_seconds;
-                              out["lastFrameAge"] = verdict.last_frame_age;
-                              return SoapValue{std::move(out)};
-                            });
+  // The collector's one pull per tick: the registry scrape and the
+  // flight-recorder export as text blobs, plus the canary verdict for this
+  // host's render service (an unwired host answers "unknown", so pollers
+  // need no special case).
+  container.register_method(
+      "status", "snapshot", [host, health](const SoapList&) -> Result<SoapValue> {
+        HealthVerdict verdict;
+        if (health) verdict = health();
+        SoapStruct canary;
+        canary["host"] = verdict.host.empty() ? host : verdict.host;
+        canary["state"] = std::string(to_string(verdict.state));
+        canary["reason"] = verdict.reason;
+        canary["framesOk"] = static_cast<int64_t>(verdict.frames_ok);
+        canary["framesLate"] = static_cast<int64_t>(verdict.frames_late);
+        canary["framesFailed"] = static_cast<int64_t>(verdict.frames_failed);
+        canary["joinSeconds"] = verdict.join_seconds;
+        canary["lastFrameAge"] = verdict.last_frame_age;
+        SoapStruct out;
+        out["metrics"] = obs::MetricsRegistry::global().scrape();
+        out["flight"] = obs::FlightRecorder::global().export_events();
+        out["health"] = SoapValue{std::move(canary)};
+        return SoapValue{std::move(out)};
+      });
 }
 
-Result<HealthVerdict> parse_health_report(const SoapValue& value) {
-  if (value.as_struct() == nullptr) return util::make_error("health: not a struct");
-  HealthVerdict verdict;
-  verdict.host = value.field("host").as_string();
-  verdict.state = health_state_from(value.field("state").as_string());
-  verdict.reason = value.field("reason").as_string();
-  verdict.frames_ok = static_cast<uint64_t>(value.field("framesOk").as_int());
-  verdict.frames_late = static_cast<uint64_t>(value.field("framesLate").as_int());
-  verdict.frames_failed = static_cast<uint64_t>(value.field("framesFailed").as_int());
-  verdict.join_seconds = value.field("joinSeconds").as_double();
-  verdict.last_frame_age = value.field("lastFrameAge").as_double();
-  return verdict;
+Result<obs::HostSnapshot> parse_status_snapshot(const SoapValue& value) {
+  if (value.as_struct() == nullptr) return util::make_error("snapshot: not a struct");
+  obs::HostSnapshot snapshot;
+  snapshot.metrics = value.field("metrics").as_string();
+  snapshot.flight = value.field("flight").as_string();
+  const SoapValue canary = value.field("health");
+  HealthVerdict& verdict = snapshot.health;
+  verdict.host = canary.field("host").as_string();
+  verdict.state = health_state_from(canary.field("state").as_string());
+  verdict.reason = canary.field("reason").as_string();
+  verdict.frames_ok = static_cast<uint64_t>(canary.field("framesOk").as_int());
+  verdict.frames_late = static_cast<uint64_t>(canary.field("framesLate").as_int());
+  verdict.frames_failed = static_cast<uint64_t>(canary.field("framesFailed").as_int());
+  verdict.join_seconds = canary.field("joinSeconds").as_double();
+  verdict.last_frame_age = canary.field("lastFrameAge").as_double();
+  return snapshot;
 }
 
 Result<HostStatus> parse_host_status(const SoapValue& value) {

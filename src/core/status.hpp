@@ -96,10 +96,11 @@ struct HostStatus {
 using HealthReportFn = std::function<obs::HealthVerdict()>;
 
 // Register the "status" endpoint on a host's container, reporting on the
-// given services (either may be null). Besides "report" this also exposes
-// "metrics" (the process-wide registry as Prometheus text exposition),
-// "flight" (the flight-recorder export the timeline collector pulls), and
-// "health" (the canary verdict from `health`, unknown when unset).
+// given services (either may be null). Two methods: "report" (the
+// on-demand HostStatus for dashboards) and "snapshot" (what the central
+// collector pulls once per tick: the process-wide registry as Prometheus
+// text exposition, the flight-recorder export, and the canary verdict
+// from `health`, unknown when unset).
 void register_status_endpoint(services::ServiceContainer& container, const std::string& host,
                               DataService* data, RenderService* render,
                               HealthReportFn health = {});
@@ -107,21 +108,22 @@ void register_status_endpoint(services::ServiceContainer& container, const std::
 // Decode a status endpoint reply.
 util::Result<HostStatus> parse_host_status(const services::SoapValue& value);
 
-// Decode a "health" method reply.
-util::Result<obs::HealthVerdict> parse_health_report(const services::SoapValue& value);
-
 // Render a fleet of host statuses as the operator dashboard text.
 std::string format_dashboard(const std::vector<HostStatus>& hosts);
 
 }  // namespace rave::core
 
-// Live telemetry view (rave-top): declared in a separate header section to
-// keep obs types out of the plain status structs above.
+// Collector wiring and the live telemetry view (rave-top): declared in a
+// separate header section to keep obs types out of the plain status
+// structs above.
 #include "obs/collector.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 
 namespace rave::core {
+
+// Decode a "snapshot" method reply.
+util::Result<obs::HostSnapshot> parse_status_snapshot(const services::SoapValue& value);
 
 // Render the telemetry-plane dashboard: per-host sparklines of frame time
 // and fps from the collector's time-series history, the SLO engine's

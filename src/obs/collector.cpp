@@ -1,5 +1,7 @@
 #include "obs/collector.hpp"
 
+#include <utility>
+
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
 
@@ -16,6 +18,7 @@ void Collector::add_target(ScrapeTarget target) {
   }
   Target entry;
   entry.health.host = target.host;
+  entry.verdict.host = target.host;
   entry.spec = std::move(target);
   entry.next_due = clock_->now();  // first tick scrapes immediately
   targets_.push_back(std::move(entry));
@@ -31,18 +34,19 @@ void Collector::remove_target(const std::string& host) {
 
 void Collector::scrape_target(Target& target, double now) {
   target.health.last_attempt = now;
-  util::Result<std::string> text = target.spec.scrape
-                                       ? target.spec.scrape()
-                                       : util::make_error("collector: no scrape fn");
-  if (!text.ok()) {
+  util::Result<HostSnapshot> snapshot = target.spec.scrape
+                                            ? target.spec.scrape()
+                                            : util::make_error("collector: no scrape fn");
+  if (!snapshot.ok()) {
     // A gap, not a failure: count it, log it, keep the target subscribed.
+    // The previous successful pull's events stay in the merge.
     ++target.health.gaps;
-    target.health.last_error = text.error();
+    target.health.last_error = snapshot.error();
     MetricsRegistry::global()
         .counter("rave_collector_gaps_total", {{"host", target.spec.host}})
         .inc();
     log_event(util::LogLevel::Warn, "collector", "scrape_gap",
-              target.spec.host + ": " + text.error());
+              target.spec.host + ": " + snapshot.error());
     // The gap itself becomes history, so SLOs and dashboards can see
     // collection trouble as a trend.
     store_.append({target.spec.host, "rave_collector_gaps_total", ""}, now,
@@ -52,7 +56,9 @@ void Collector::scrape_target(Target& target, double now) {
   ++target.health.scrapes;
   target.health.last_success = now;
   target.health.last_error.clear();
-  store_.ingest(target.spec.host, parse_prometheus(text.value()), now);
+  store_.ingest(target.spec.host, parse_prometheus(snapshot.value().metrics), now);
+  target.events = decode_flight_events(snapshot.value().flight);
+  target.verdict = std::move(snapshot.value().health);
 }
 
 size_t Collector::tick() {
@@ -77,6 +83,21 @@ size_t Collector::poll_now() {
     target.next_due = now + options_.interval;
   }
   return targets_.size();
+}
+
+std::vector<TimelineEvent> Collector::merged() const {
+  std::vector<TimelineEvent> events;
+  for (const Target& target : targets_)
+    for (const FlightEvent& event : target.events) events.push_back({target.spec.host, event});
+  return merge_timeline(std::move(events));
+}
+
+HealthVerdict Collector::verdict(const std::string& host) const {
+  for (const Target& target : targets_)
+    if (target.spec.host == host) return target.verdict;
+  HealthVerdict unknown;
+  unknown.host = host;
+  return unknown;
 }
 
 std::vector<Collector::TargetHealth> Collector::health() const {

@@ -1,15 +1,20 @@
-// Central collector — the pull half of the telemetry plane. A grid-level
-// component (hosted next to the data service) periodically scrapes every
-// subscribed host's Prometheus text exposition (the status "metrics" SOAP
-// method), parses it, and appends the samples into a TimeSeriesStore
-// tagged by host. Transport is injected as a per-target ScrapeFn so the
-// same collector runs over the in-process fabric, TCP, or a synthetic
-// generator in tests; retry/backoff lives inside the wiring (the grid uses
-// Fabric::dial_retry with its RetryPolicy).
+// Central collector — the pull half of the telemetry and health planes. A
+// grid-level component (hosted next to the data service) periodically
+// pulls one status snapshot from every subscribed host (the status
+// "snapshot" SOAP method): the host's Prometheus text exposition, its
+// flight-recorder export and its canary verdict. The exposition is parsed
+// and appended into a TimeSeriesStore tagged by host; the flight events
+// are kept per host and merged into the causally ordered grid timeline;
+// the verdict is kept as the host's last reported health. Transport is
+// injected as a per-target pull function so the same collector runs over
+// the in-process fabric, TCP, or a synthetic generator in tests;
+// retry/backoff lives inside the wiring (the grid uses Fabric::dial_retry
+// with its RetryPolicy).
 //
-// Failure semantics: a failed scrape is a telemetry *gap*, never a service
+// Failure semantics: a failed pull is a telemetry *gap*, never a service
 // failure — the target stays subscribed, the gap is counted and logged
-// (rave_collector_gaps_total), and the next tick retries. Dead hosts must
+// (rave_collector_gaps_total), the host's previously pulled events stay
+// in the merged timeline, and the next tick retries. Dead hosts must
 // never stall collection of healthy ones, so targets are polled
 // independently in deterministic (insertion) order.
 #pragma once
@@ -19,17 +24,26 @@
 #include <string>
 #include <vector>
 
+#include "obs/health.hpp"
+#include "obs/timeline.hpp"
 #include "obs/timeseries.hpp"
 #include "util/clock.hpp"
 #include "util/result.hpp"
 
 namespace rave::obs {
 
+// Everything one host reports per collection tick.
+struct HostSnapshot {
+  std::string metrics;   // Prometheus text exposition
+  std::string flight;    // FlightRecorder::export_events() text
+  HealthVerdict health;  // the host's canary verdict (Unknown when unwatched)
+};
+
 struct ScrapeTarget {
   std::string host;
-  // Fetch the host's current Prometheus text exposition. Errors mean a
-  // gap for this tick only.
-  std::function<util::Result<std::string>()> scrape;
+  // Fetch the host's current snapshot. Errors mean a gap for this tick
+  // only.
+  std::function<util::Result<HostSnapshot>()> scrape;
 };
 
 class Collector {
@@ -49,21 +63,29 @@ class Collector {
   void remove_target(const std::string& host);
   [[nodiscard]] size_t target_count() const { return targets_.size(); }
 
-  // Scrape every target whose interval has elapsed; returns the number of
-  // scrape attempts made (successes and gaps both count).
+  // Pull every target whose interval has elapsed; returns the number of
+  // pull attempts made (successes and gaps both count).
   size_t tick();
-  // Scrape every target now, regardless of the interval.
+  // Pull every target now, regardless of the interval.
   size_t poll_now();
 
   [[nodiscard]] const TimeSeriesStore& store() const { return store_; }
   [[nodiscard]] TimeSeriesStore& store() { return store_; }
 
+  // The merged grid timeline over every target's last pulled flight
+  // events (see merge_timeline).
+  [[nodiscard]] std::vector<TimelineEvent> merged() const;
+
+  // The canary verdict `host` reported in its last successful pull
+  // (Unknown for an unknown or never-pulled host).
+  [[nodiscard]] HealthVerdict verdict(const std::string& host) const;
+
   // Per-target collection health: successes, gaps, and when each last
   // happened (-1 = never).
   struct TargetHealth {
     std::string host;
-    uint64_t scrapes = 0;       // successful scrapes
-    uint64_t gaps = 0;          // failed scrape attempts
+    uint64_t scrapes = 0;       // successful pulls
+    uint64_t gaps = 0;          // failed pull attempts
     double last_success = -1;
     double last_attempt = -1;
     std::string last_error;     // empty unless the last attempt failed
@@ -79,7 +101,9 @@ class Collector {
   struct Target {
     ScrapeTarget spec;
     TargetHealth health;
-    double next_due = 0;  // poll when now >= next_due
+    std::vector<FlightEvent> events;  // latest successful pull
+    HealthVerdict verdict;            // latest successful pull
+    double next_due = 0;              // poll when now >= next_due
   };
 
   void scrape_target(Target& target, double now);

@@ -131,11 +131,6 @@ void FlightRecorder::clear() {
   last_dump_.clear();
 }
 
-std::vector<FlightEvent> FlightRecorder::events() const {
-  std::lock_guard lock(mu_);
-  return {ring_.begin(), ring_.end()};
-}
-
 namespace {
 // Decision texts are multi-line (planner explains); the export is
 // line-per-event, so escape the separators.

@@ -64,10 +64,8 @@ class FlightRecorder {
   [[nodiscard]] uint64_t total_recorded() const;  // including overwritten
   void clear();
 
-  // Snapshot of the ring, oldest first (for the timeline collector).
-  [[nodiscard]] std::vector<FlightEvent> events() const;
-  // Deterministic line-per-event text form served over the status
-  // "flight" SOAP method; decode_flight_events (timeline.hpp) reverses it.
+  // Deterministic line-per-event text form served in the status
+  // "snapshot" SOAP method; decode_flight_events (timeline.hpp) reverses it.
   [[nodiscard]] std::string export_events() const;
 
  private:

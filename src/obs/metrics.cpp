@@ -158,7 +158,7 @@ const char* metric_help(std::string_view name) {
       {"rave_codec_decode_ns_total", "Nanoseconds in AdaptiveDecoder (codec ablation)"},
       {"rave_codec_encode_ns_total", "Nanoseconds in AdaptiveEncoder (codec ablation)"},
       {"rave_codec_frames_total", "Frames through AdaptiveEncoder (codec ablation)"},
-      {"rave_collector_gaps_total", "Failed metric scrapes (unreachable target)"},
+      {"rave_collector_gaps_total", "Failed status snapshot pulls (unreachable target)"},
       {"rave_data_updates_committed_total", "Scene updates committed by the data service"},
       {"rave_events_total", "Structured log events by component and severity"},
       {"rave_fabric_dial_failures_total", "Dials that exhausted their retry budget"},
@@ -191,7 +191,6 @@ const char* metric_help(std::string_view name) {
       {"rave_soap_faults_total", "SOAP calls answered with a fault"},
       {"rave_stream_delivery_seconds", "Publish-to-receive latency of streamed frames"},
       {"rave_stream_frame_age_seconds", "Age of frames at the stream receiver"},
-      {"rave_timeline_gaps_total", "Failed flight-recorder pulls (unreachable target)"},
       {"rave_volume_seconds", "Per-frame volume ray-marching time"},
   };
   for (const HelpEntry& e : kHelp)

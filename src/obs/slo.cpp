@@ -195,19 +195,18 @@ const std::vector<SloStatus>& SloEngine::evaluate(const TimeSeriesStore& store, 
   return current_;
 }
 
-TrendAdvisory SloEngine::advisory(const std::string& host) const {
-  TrendAdvisory advisory;
+std::vector<Advisory> SloEngine::advisories(const std::string& host) const {
+  std::vector<Advisory> out;
   for (const SloStatus& status : current_) {
     if (status.host != host) continue;
     const bool burning = status.state == SloStatus::State::Burning ||
                          status.state == SloStatus::State::Violated;
     if (!burning && !status.anomaly) continue;
-    advisory.slo_burning = advisory.slo_burning || burning;
-    advisory.anomaly = advisory.anomaly || status.anomaly;
-    if (!advisory.note.empty()) advisory.note += "; ";
-    advisory.note += status.detail;
+    out.push_back({status.anomaly ? Advisory::Source::Anomaly : Advisory::Source::Slo,
+                   burning ? Advisory::Severity::Critical : Advisory::Severity::Warning,
+                   status.detail});
   }
-  return advisory;
+  return out;
 }
 
 std::string SloEngine::format_current() const {

@@ -8,10 +8,10 @@
 // anomalies independently of any threshold.
 //
 // The engine's outputs are *advisory*: plan_migration reads them as trend
-// inputs (ServiceLoadView::slo_burning / anomaly) next to the instant
-// EWMA flags, and rave-top renders them. Evaluation is a pure function of
-// (store contents, now), so identical runs under SimClock produce
-// identical state sequences.
+// inputs (ServiceLoadView::advisories) next to the instant EWMA flags,
+// and rave-top renders them. Evaluation is a pure function of (store
+// contents, now), so identical runs under SimClock produce identical
+// state sequences.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/health.hpp"
 #include "obs/timeseries.hpp"
 
 namespace rave::obs {
@@ -58,14 +59,6 @@ struct SloStatus {
 
 const char* to_string(SloStatus::State state);
 
-// Trend advisory consumed by migration planning: true flags mean the
-// telemetry plane sees sustained trouble the instant EWMA cannot.
-struct TrendAdvisory {
-  bool slo_burning = false;  // some objective is Burning or Violated
-  bool anomaly = false;      // some watched metric step-changed
-  std::string note;          // why, for MigrationExplain
-};
-
 class SloEngine {
  public:
   void add(SloSpec spec) { specs_.push_back(std::move(spec)); }
@@ -78,8 +71,10 @@ class SloEngine {
 
   [[nodiscard]] const std::vector<SloStatus>& current() const { return current_; }
 
-  // Aggregate advisory for one host from the most recent evaluation.
-  [[nodiscard]] TrendAdvisory advisory(const std::string& host) const;
+  // One advisory per flagged objective of `host` in the most recent
+  // evaluation, in status order: Slo for a burn, Anomaly for a step change
+  // (Critical when its objective burns too). Reason = the status detail.
+  [[nodiscard]] std::vector<Advisory> advisories(const std::string& host) const;
 
   // One line per status, for dashboards and deterministic transcripts.
   [[nodiscard]] std::string format_current() const;

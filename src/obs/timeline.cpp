@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <tuple>
-
-#include "obs/event.hpp"
-#include "obs/metrics.hpp"
 
 namespace rave::obs {
 
@@ -55,77 +53,6 @@ std::vector<FlightEvent> decode_flight_events(const std::string& text) {
   return out;
 }
 
-TimelineCollector::TimelineCollector(util::Clock& clock, Options options)
-    : clock_(&clock), options_(options) {}
-
-void TimelineCollector::add_target(TimelineTarget target) {
-  for (Target& existing : targets_) {
-    if (existing.spec.host != target.host) continue;
-    existing.spec = std::move(target);  // re-register keeps the history
-    return;
-  }
-  Target entry;
-  entry.health.host = target.host;
-  entry.spec = std::move(target);
-  entry.next_due = clock_->now();  // first tick pulls immediately
-  targets_.push_back(std::move(entry));
-}
-
-void TimelineCollector::remove_target(const std::string& host) {
-  for (size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].spec.host != host) continue;
-    targets_.erase(targets_.begin() + static_cast<ptrdiff_t>(i));
-    return;
-  }
-}
-
-void TimelineCollector::pull_target(Target& target, double now) {
-  target.health.last_attempt = now;
-  util::Result<std::string> text = target.spec.pull
-                                       ? target.spec.pull()
-                                       : util::make_error("timeline: no pull fn");
-  if (!text.ok()) {
-    // A gap, not a failure: count it, log it, keep the target subscribed.
-    // The previous successful pull's events stay in the merge.
-    ++target.health.gaps;
-    target.health.last_error = text.error();
-    MetricsRegistry::global()
-        .counter("rave_timeline_gaps_total", {{"host", target.spec.host}})
-        .inc();
-    log_event(util::LogLevel::Warn, "timeline", "pull_gap",
-              target.spec.host + ": " + text.error());
-    return;
-  }
-  ++target.health.pulls;
-  target.health.last_success = now;
-  target.health.last_error.clear();
-  target.events = decode_flight_events(text.value());
-}
-
-size_t TimelineCollector::tick() {
-  const double now = clock_->now();
-  size_t attempted = 0;
-  for (Target& target : targets_) {
-    if (now < target.next_due) continue;
-    pull_target(target, now);
-    // Schedule from the nominal due time so a late tick doesn't drift the
-    // cadence (virtual-time runs stay aligned to the interval grid).
-    target.next_due += options_.interval;
-    if (target.next_due <= now) target.next_due = now + options_.interval;
-    ++attempted;
-  }
-  return attempted;
-}
-
-size_t TimelineCollector::poll_now() {
-  const double now = clock_->now();
-  for (Target& target : targets_) {
-    pull_target(target, now);
-    target.next_due = now + options_.interval;
-  }
-  return targets_.size();
-}
-
 namespace {
 // Full-field ordering key: HLC first (causal), then recorder time (the
 // fallback when stamps are absent), then every remaining field so the
@@ -146,27 +73,17 @@ auto dedup_key(const TimelineEvent& e) {
 }
 }  // namespace
 
-std::vector<TimelineEvent> TimelineCollector::merged() const {
-  std::vector<TimelineEvent> out;
-  for (const Target& target : targets_) {
-    for (const FlightEvent& event : target.events) out.push_back({target.spec.host, event});
-  }
-  std::stable_sort(out.begin(), out.end(), [](const TimelineEvent& a, const TimelineEvent& b) {
-    return order_key(a) < order_key(b);
-  });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const TimelineEvent& a, const TimelineEvent& b) {
-                          return dedup_key(a) == dedup_key(b);
-                        }),
-            out.end());
-  return out;
-}
-
-std::vector<TimelineCollector::TargetHealth> TimelineCollector::health() const {
-  std::vector<TargetHealth> out;
-  out.reserve(targets_.size());
-  for (const Target& target : targets_) out.push_back(target.health);
-  return out;
+std::vector<TimelineEvent> merge_timeline(std::vector<TimelineEvent> events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TimelineEvent& a, const TimelineEvent& b) {
+                     return order_key(a) < order_key(b);
+                   });
+  events.erase(std::unique(events.begin(), events.end(),
+                           [](const TimelineEvent& a, const TimelineEvent& b) {
+                             return dedup_key(a) == dedup_key(b);
+                           }),
+               events.end());
+  return events;
 }
 
 namespace {

@@ -505,7 +505,7 @@ TEST_F(FaultFixture, CanaryVerdictEvictsBeforeLeaseExpiry) {
 
   // The blackbox canary declares `hung` Unhealthy (stand-in for two
   // consecutive failed stream probes); everyone else looks fine.
-  data.set_health_advisor([](const std::string& host) {
+  data.set_advisor([](const std::string& host) {
     obs::HealthVerdict verdict;
     verdict.host = host;
     if (host == "hung") {
@@ -514,7 +514,9 @@ TEST_F(FaultFixture, CanaryVerdictEvictsBeforeLeaseExpiry) {
     } else {
       verdict.state = obs::HealthState::Healthy;
     }
-    return verdict;
+    std::vector<obs::Advisory> advisories;
+    if (auto canary = obs::advisory_of(verdict)) advisories.push_back(std::move(*canary));
+    return advisories;
   });
 
   Camera cam;

@@ -1,8 +1,9 @@
 // Grid health plane tests: hybrid logical clock semantics, the flight
-// export/decode round trip, the cross-host timeline collector (causal
+// export/decode round trip, the collector's cross-host timeline (causal
 // merge order, dedup, gap semantics, byte stability under SimClock), the
 // blackbox canary state machine against a real grid stream, and the
-// status "health" SOAP round trip. Everything runs under virtual time.
+// canary verdict's round trip through the status "snapshot" SOAP method.
+// Everything runs under virtual time.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +13,7 @@
 #include "core/status.hpp"
 #include "mesh/primitives.hpp"
 #include "obs/canary.hpp"
+#include "obs/collector.hpp"
 #include "obs/event.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/hlc.hpp"
@@ -109,12 +111,15 @@ TEST(Timeline, DecodeSkipsMalformedLines) {
   EXPECT_EQ(decoded[0].text, "ok");
 }
 
-// --- timeline collector ------------------------------------------------------
+// --- collector timeline ------------------------------------------------------
 
-std::string export_of(const std::vector<FlightEvent>& events) {
+// A snapshot carrying only a flight export of `events`.
+HostSnapshot snapshot_of(const std::vector<FlightEvent>& events) {
   FlightRecorder recorder;
   for (const FlightEvent& e : events) recorder.record(e);
-  return recorder.export_events();
+  HostSnapshot snapshot;
+  snapshot.flight = recorder.export_events();
+  return snapshot;
 }
 
 FlightEvent stamped_note(uint64_t wall, uint32_t logical, const std::string& text,
@@ -130,15 +135,15 @@ FlightEvent stamped_note(uint64_t wall, uint32_t logical, const std::string& tex
 
 TEST(Timeline, MergedOrdersByHlcAcrossHostsAndDedupsSharedRings) {
   util::SimClock clock;
-  TimelineCollector collector(clock);
+  Collector collector(clock);
   // Host B's wall clock reads *later* recorder times, but its HLC stamps
   // are causally earlier: the merge must follow the stamps.
   const FlightEvent shared = stamped_note(5, 1, "shared", 9.0);
-  collector.add_target({"a", [&]() -> util::Result<std::string> {
-    return export_of({stamped_note(20, 1, "a-late", 1.0), shared});
+  collector.add_target({"a", [&]() -> util::Result<HostSnapshot> {
+    return snapshot_of({stamped_note(20, 1, "a-late", 1.0), shared});
   }});
-  collector.add_target({"b", [&]() -> util::Result<std::string> {
-    return export_of({stamped_note(10, 2, "b-early", 8.0), shared});
+  collector.add_target({"b", [&]() -> util::Result<HostSnapshot> {
+    return snapshot_of({stamped_note(10, 2, "b-early", 8.0), shared});
   }});
   EXPECT_EQ(collector.poll_now(), 2u);
 
@@ -156,13 +161,13 @@ TEST(Timeline, MergedOrdersByHlcAcrossHostsAndDedupsSharedRings) {
 
 TEST(Timeline, FailedPullIsAGapThatKeepsPreviousEvents) {
   util::SimClock clock;
-  TimelineCollector::Options options;
+  Collector::Options options;
   options.interval = 1.0;
-  TimelineCollector collector(clock, options);
+  Collector collector(clock, options);
   bool dead = false;
-  collector.add_target({"flaky", [&]() -> util::Result<std::string> {
+  collector.add_target({"flaky", [&]() -> util::Result<HostSnapshot> {
     if (dead) return util::make_error("host unreachable");
-    return export_of({stamped_note(1, 1, "before the crash")});
+    return snapshot_of({stamped_note(1, 1, "before the crash")});
   }});
 
   clock.advance(1.0);
@@ -171,7 +176,7 @@ TEST(Timeline, FailedPullIsAGapThatKeepsPreviousEvents) {
 
   dead = true;
   const uint64_t gaps_before =
-      MetricsRegistry::global().counter("rave_timeline_gaps_total", {{"host", "flaky"}}).value();
+      MetricsRegistry::global().counter("rave_collector_gaps_total", {{"host", "flaky"}}).value();
   clock.advance(1.0);
   EXPECT_EQ(collector.tick(), 1u);
   clock.advance(1.0);
@@ -179,11 +184,11 @@ TEST(Timeline, FailedPullIsAGapThatKeepsPreviousEvents) {
 
   const auto health = collector.health();
   ASSERT_EQ(health.size(), 1u);
-  EXPECT_EQ(health[0].pulls, 1u);
+  EXPECT_EQ(health[0].scrapes, 1u);
   EXPECT_EQ(health[0].gaps, 2u);
   EXPECT_NE(health[0].last_error.find("unreachable"), std::string::npos);
   EXPECT_EQ(
-      MetricsRegistry::global().counter("rave_timeline_gaps_total", {{"host", "flaky"}}).value(),
+      MetricsRegistry::global().counter("rave_collector_gaps_total", {{"host", "flaky"}}).value(),
       gaps_before + 2);
   // The last successful pull's events survive the gap — a dead host's
   // history stays in the merged timeline.
@@ -198,7 +203,7 @@ TEST(Timeline, FailedPullIsAGapThatKeepsPreviousEvents) {
 namespace rave::core {
 namespace {
 
-// --- canary + health SOAP over a real grid -----------------------------------
+// --- canary + status snapshot over a real grid --------------------------------
 
 TEST(HealthPlane, CanaryStateMachineAndHealthSoapRoundTrip) {
   obs::MetricsRegistry::global().reset_values();
@@ -223,8 +228,8 @@ TEST(HealthPlane, CanaryStateMachineAndHealthSoapRoundTrip) {
     grid.watch_streams("demo");
     ASSERT_EQ(grid.canary()->probe_count(), 1u);
 
-    // Before any probe completes, the host's verdict — and the status
-    // "health" SOAP answer — is Unknown.
+    // Before any probe completes, the host's verdict — and the one its
+    // status snapshot reports — is Unknown.
     EXPECT_EQ(grid.canary()->verdict("laptop").state, obs::HealthState::Unknown);
 
     const auto pump = [&grid] { grid.pump_all(); };
@@ -243,18 +248,24 @@ TEST(HealthPlane, CanaryStateMachineAndHealthSoapRoundTrip) {
     EXPECT_GE(verdict.join_seconds, 0.0);
     EXPECT_GE(verdict.last_frame_age, 0.0);
 
-    // The host's status endpoint serves the same verdict over SOAP.
+    // The host's status snapshot serves the same verdict over SOAP…
     services::SoapCall call;
     call.service = "status";
-    call.method = "health";
+    call.method = "snapshot";
     call.call_id = 1;
     const services::SoapResponse response = grid.container("laptop")->dispatch(call);
     ASSERT_FALSE(response.is_fault) << response.fault_message;
-    const auto parsed = parse_health_report(response.result);
+    const auto parsed = parse_status_snapshot(response.result);
     ASSERT_TRUE(parsed.ok()) << parsed.error();
-    EXPECT_EQ(parsed.value().host, "laptop");
-    EXPECT_EQ(parsed.value().state, obs::HealthState::Healthy);
-    EXPECT_EQ(parsed.value().frames_ok, verdict.frames_ok);
+    EXPECT_EQ(parsed.value().health.host, "laptop");
+    EXPECT_EQ(parsed.value().health.state, obs::HealthState::Healthy);
+    EXPECT_EQ(parsed.value().health.frames_ok, verdict.frames_ok);
+    EXPECT_EQ(parsed.value().health.frames_failed, verdict.frames_failed);
+    // …and the collector keeps what the last pull reported.
+    EXPECT_EQ(grid.collector()->poll_now(), 2u);
+    EXPECT_EQ(grid.collector()->verdict("laptop").state, obs::HealthState::Healthy);
+    EXPECT_EQ(grid.collector()->verdict("laptop").frames_ok, verdict.frames_ok);
+    EXPECT_EQ(grid.collector()->verdict("datahost").state, obs::HealthState::Unknown);
 
     // The stream goes quiet: two consecutive probe timeouts escalate to
     // Unhealthy, and the dashboard shows it.
@@ -280,8 +291,8 @@ TEST(HealthPlane, CanaryStateMachineAndHealthSoapRoundTrip) {
 
 // One full failure story under virtual time: two render services share a
 // session, one goes silent, its lease expires and the planner re-homes
-// its nodes; the timeline collector pulls both hosts' rings (the silent
-// host's pull gaps out) and merges the causal order.
+// its nodes; the collector pulls both hosts' rings (the silent host's pull
+// gaps out) and merges the causal order.
 std::string run_kill_timeline() {
   obs::MetricsRegistry::global().reset_values();
   obs::FlightRecorder::global().clear();
@@ -327,14 +338,17 @@ std::string run_kill_timeline() {
     EXPECT_TRUE(data.distribute("demo").ok());
     pump_both();
 
-    obs::TimelineCollector collector(clock);
+    obs::Collector collector(clock);
     bool hung_dead = false;
-    collector.add_target({"datahost", []() -> util::Result<std::string> {
-      return obs::FlightRecorder::global().export_events();
-    }});
-    collector.add_target({"hung", [&]() -> util::Result<std::string> {
+    const auto ring = []() -> util::Result<obs::HostSnapshot> {
+      obs::HostSnapshot snapshot;
+      snapshot.flight = obs::FlightRecorder::global().export_events();
+      return snapshot;
+    };
+    collector.add_target({"datahost", ring});
+    collector.add_target({"hung", [&]() -> util::Result<obs::HostSnapshot> {
       if (hung_dead) return util::make_error("host unreachable");
-      return obs::FlightRecorder::global().export_events();
+      return ring();
     }});
     (void)collector.poll_now();
 

@@ -653,12 +653,20 @@ TEST(ObsStatus, MetricsMethodServesScrape) {
   auto proxy = grid.soap_proxy("laptop", "status");
   ASSERT_TRUE(proxy.ok()) << proxy.error();
   grid.container("laptop")->start();
-  auto scraped = proxy.value().call("metrics", {}, 2.0);
+  auto scraped = proxy.value().call("snapshot", {}, 2.0);
+  // The snapshot replaced the per-plane methods: they are gone.
+  for (const char* retired : {"metrics", "flight", "health"})
+    EXPECT_FALSE(proxy.value().call(retired, {}, 2.0).ok()) << retired;
   grid.container("laptop")->stop();
   ASSERT_TRUE(scraped.ok()) << scraped.error();
+  const auto snapshot = parse_status_snapshot(scraped.value());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.error();
   // The scrape includes families registered by earlier activity in this
   // process (the registry is process-wide); at minimum it is well-formed.
-  EXPECT_NE(scraped.value().as_string().find("# TYPE"), std::string::npos);
+  EXPECT_NE(snapshot.value().metrics.find("# TYPE"), std::string::npos);
+  // No canary watches the host: its verdict is Unknown, under its name.
+  EXPECT_EQ(snapshot.value().health.host, "laptop");
+  EXPECT_EQ(snapshot.value().health.state, obs::HealthState::Unknown);
 }
 
 TEST(ObsStatus, DashboardShowsFailureChurn) {

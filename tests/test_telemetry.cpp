@@ -39,6 +39,14 @@ void write_artifact(const std::string& name, const std::string& content) {
 
 namespace rave::obs {
 namespace {
+// A collector pull that carries only a metrics exposition.
+HostSnapshot metrics_only(std::string exposition) {
+  HostSnapshot snapshot;
+  snapshot.metrics = std::move(exposition);
+  return snapshot;
+}
+}  // namespace
+namespace {
 
 // --- time-series store -------------------------------------------------------
 
@@ -157,21 +165,21 @@ TEST(Collector, DeterministicAcrossIdenticalRuns) {
     options.ring_capacity = 64;
     Collector collector(clock, options);
     int alpha_calls = 0;
-    collector.add_target({"alpha", [&alpha_calls]() -> util::Result<std::string> {
+    collector.add_target({"alpha", [&alpha_calls]() -> util::Result<HostSnapshot> {
                             ++alpha_calls;
                             char buf[96];
                             std::snprintf(buf, sizeof(buf),
                                           "rave_ticks_total %d\nrave_depth %d\n",
                                           alpha_calls * 3, alpha_calls % 4);
-                            return std::string(buf);
+                            return metrics_only(buf);
                           }});
     int beta_calls = 0;
-    collector.add_target({"beta", [&beta_calls]() -> util::Result<std::string> {
+    collector.add_target({"beta", [&beta_calls]() -> util::Result<HostSnapshot> {
                             ++beta_calls;
                             if (beta_calls % 3 == 0)
                               return util::make_error("synthetic outage");
-                            return std::string("rave_ticks_total ") +
-                                   std::to_string(beta_calls) + "\n";
+                            return metrics_only("rave_ticks_total " +
+                                                std::to_string(beta_calls) + "\n");
                           }});
     for (int i = 0; i < 24; ++i) {
       clock.advance(0.25);
@@ -193,9 +201,9 @@ TEST(Collector, GapNeverStallsHealthyTargets) {
   util::SimClock clock;
   Collector collector(clock);
   collector.add_target(
-      {"dead", []() -> util::Result<std::string> { return util::make_error("down"); }});
+      {"dead", []() -> util::Result<HostSnapshot> { return util::make_error("down"); }});
   collector.add_target(
-      {"live", []() -> util::Result<std::string> { return std::string("rave_up 1\n"); }});
+      {"live", []() -> util::Result<HostSnapshot> { return metrics_only("rave_up 1\n"); }});
   for (int i = 0; i < 5; ++i) {
     clock.advance(1.0);
     collector.tick();
@@ -217,11 +225,11 @@ TEST(Collector, ReRegisteringTargetKeepsHistory) {
   util::SimClock clock;
   Collector collector(clock);
   collector.add_target(
-      {"h", []() -> util::Result<std::string> { return std::string("rave_v 1\n"); }});
+      {"h", []() -> util::Result<HostSnapshot> { return metrics_only("rave_v 1\n"); }});
   clock.advance(1.0);
   collector.tick();
   collector.add_target(
-      {"h", []() -> util::Result<std::string> { return std::string("rave_v 2\n"); }});
+      {"h", []() -> util::Result<HostSnapshot> { return metrics_only("rave_v 2\n"); }});
   clock.advance(1.0);
   collector.tick();
   EXPECT_EQ(collector.target_count(), 1u);
@@ -261,9 +269,11 @@ TEST(Slo, GaugeObjectiveBurnsThenViolatesThenRecovers) {
   }
   EXPECT_EQ(status[0].state, SloStatus::State::Violated);
   EXPECT_GE(status[0].violating_for, spec.burn_seconds);
-  const TrendAdvisory advisory = engine.advisory("hostA");
-  EXPECT_TRUE(advisory.slo_burning);
-  EXPECT_NE(advisory.note.find("fps_floor"), std::string::npos);
+  const std::vector<Advisory> advisories = engine.advisories("hostA");
+  ASSERT_EQ(advisories.size(), 1u);
+  EXPECT_EQ(advisories[0].source, Advisory::Source::Slo);
+  EXPECT_EQ(advisories[0].severity, Advisory::Severity::Critical);
+  EXPECT_NE(advisories[0].reason.find("fps_floor"), std::string::npos);
 
   // Recovery.
   for (double t = 12; t <= 16; t += 1) {
@@ -271,7 +281,7 @@ TEST(Slo, GaugeObjectiveBurnsThenViolatesThenRecovers) {
     status = engine.evaluate(store, t);
   }
   EXPECT_EQ(status[0].state, SloStatus::State::Ok);
-  EXPECT_FALSE(engine.advisory("hostA").slo_burning);
+  EXPECT_TRUE(engine.advisories("hostA").empty());
 }
 
 TEST(Slo, RateObjectivesUseWindowedCounterRate) {
@@ -341,13 +351,16 @@ TEST(Slo, StepChangeFlagsAnomalyIndependentOfThreshold) {
     }
     if (status[0].anomaly && !flagged) {
       flagged = true;
-      advisory_at_flag = engine.advisory("h").anomaly;
+      const std::vector<Advisory> advisories = engine.advisories("h");
+      advisory_at_flag = advisories.size() == 1 &&
+                         advisories[0].source == Advisory::Source::Anomaly &&
+                         advisories[0].severity == Advisory::Severity::Warning;
     }
   }
   EXPECT_TRUE(flagged);
   EXPECT_TRUE(advisory_at_flag);
   // Once the new level is established the step is history, not an anomaly.
-  EXPECT_FALSE(engine.advisory("h").anomaly);
+  EXPECT_TRUE(engine.advisories("h").empty());
 }
 
 TEST(Slo, SharedRegistrySeriesEvaluateOncePerRealHost) {
@@ -409,8 +422,8 @@ TEST(TrendMigration, BurnOnlyServiceShedsWhereEwmaWouldNot) {
   EXPECT_TRUE(plan_migration({burning, helper}).empty());
 
   // The telemetry plane disagrees: the same inputs plus a burn → shed.
-  burning.slo_burning = true;
-  burning.advisory = "frame_p99 host=one: BURNING value=0.08 bound=0.066";
+  burning.advisories = {{obs::Advisory::Source::Slo, obs::Advisory::Severity::Critical,
+                         "frame_p99 host=one: BURNING value=0.08 bound=0.066"}};
   MigrationExplain explain;
   const auto actions = plan_migration({burning, helper}, {}, &explain);
   ASSERT_FALSE(actions.empty());
@@ -447,8 +460,8 @@ TEST(TrendMigration, AnomalousReceiverIsRejectedWithReason) {
   ASSERT_FALSE(baseline.empty());
   EXPECT_EQ(baseline[0].to, 3u);
 
-  anomalous.anomaly = true;
-  anomalous.advisory = "frame_mean host=three: ANOMALY";
+  anomalous.advisories = {{obs::Advisory::Source::Anomaly, obs::Advisory::Severity::Warning,
+                           "frame_mean host=three: ANOMALY"}};
   MigrationExplain explain;
   const auto actions = plan_migration({overloaded, steady, anomalous}, {}, &explain);
   ASSERT_FALSE(actions.empty());
@@ -475,7 +488,7 @@ TEST(TrendMigration, BurningSurvivorTakesOrphansOnlyAsLastResort) {
   ServiceLoadView burning;
   burning.subscriber_id = 3;
   burning.capacity.polygons_per_sec = 300'000;
-  burning.slo_burning = true;
+  burning.advisories = {{obs::Advisory::Source::Slo, obs::Advisory::Severity::Critical, ""}};
 
   MigrationExplain explain;
   const auto actions = plan_migration({dead, healthy, burning}, {}, &explain);
@@ -514,7 +527,7 @@ TEST(TrendMigration, UnderloadFillSkipsFlaggedService) {
   EXPECT_EQ(baseline[0].kind, MigrationAction::Kind::MoveNodes);
   EXPECT_EQ(baseline[0].to, 1u);
 
-  idle.slo_burning = true;
+  idle.advisories = {{obs::Advisory::Source::Slo, obs::Advisory::Severity::Critical, ""}};
   MigrationExplain explain;
   const auto actions = plan_migration({idle, loaded}, {}, &explain);
   EXPECT_TRUE(actions.empty());  // no fill into a burning service
@@ -659,6 +672,45 @@ TEST(TelemetryGrid, DeadHostLeavesGapWithoutStallingOthers) {
   obs::set_clock(nullptr);
 }
 
+// One pull per host per tick: with both planes on, a due tick dials each
+// host once and dispatches one status call on its container — the metrics,
+// the flight export and the canary verdict ride one snapshot.
+TEST(TelemetryGrid, BothPlanesPullOneSnapshotPerHostPerTick) {
+  obs::MetricsRegistry::global().reset_values();
+  obs::FlightRecorder::global().clear();
+  util::SimClock clock;
+  obs::set_clock(&clock);
+  {
+    RaveGrid grid(clock, net::ethernet_100mbit());
+    grid.add_data_service("datahost");
+    grid.add_render_service("laptop");
+    grid.add_render_service("xeon");
+    grid.enable_telemetry();
+    grid.enable_health_plane();
+    const std::vector<std::string> hosts = {"datahost", "laptop", "xeon"};
+    grid.pump_all();  // every target is due at once: the first tick
+
+    obs::Counter& dials = obs::MetricsRegistry::global().counter("rave_fabric_dials_total");
+    const uint64_t dials_before = dials.value();
+    std::vector<uint64_t> calls_before;
+    for (const std::string& host : hosts)
+      calls_before.push_back(grid.container(host)->stats().calls_served);
+    obs::FlightRecorder::global().record_note("test", "recorded before the tick", clock.now());
+    clock.advance(grid.collector()->options().interval);
+    grid.pump_all();  // exactly one due tick
+
+    EXPECT_EQ(dials.value() - dials_before, hosts.size());
+    for (size_t i = 0; i < hosts.size(); ++i)
+      EXPECT_EQ(grid.container(hosts[i])->stats().calls_served - calls_before[i], 1u)
+          << hosts[i];
+    for (const auto& h : grid.collector()->health()) EXPECT_EQ(h.scrapes, 2u) << h.host;
+    // The one pull fed both planes: metric history and the timeline.
+    EXPECT_TRUE(grid.collector()->store().contains({"laptop", "rave_fabric_dials_total", ""}));
+    EXPECT_NE(grid.timeline_text().find("recorded before the tick"), std::string::npos);
+  }
+  obs::set_clock(nullptr);
+}
+
 TEST(TelemetryGrid, AdvisorTriggersRebalanceAndExplainsThroughStatus) {
   obs::MetricsRegistry::global().reset_values();
   obs::FlightRecorder::global().clear();
@@ -688,13 +740,12 @@ TEST(TelemetryGrid, AdvisorTriggersRebalanceAndExplainsThroughStatus) {
     // enable_telemetry wired in): the laptop's frame p99 is burning.
     // No load report has tripped any EWMA flag, so without the advisor
     // this pump round would plan nothing.
-    data.set_trend_advisor([](const std::string& host) {
-      TrendAdvisory trend;
-      if (host == "laptop") {
-        trend.slo_burning = true;
-        trend.note = "frame_p99 host=laptop: BURNING value=0.08 bound=0.066";
-      }
-      return trend;
+    data.set_advisor([](const std::string& host) {
+      std::vector<obs::Advisory> advisories;
+      if (host == "laptop")
+        advisories.push_back({obs::Advisory::Source::Slo, obs::Advisory::Severity::Critical,
+                              "frame_p99 host=laptop: BURNING value=0.08 bound=0.066"});
+      return advisories;
     });
     const uint64_t before = data.stats().rebalances;
     clock.advance(1.0);
@@ -734,7 +785,11 @@ TEST(TelemetryDashboard, RendersRelayNetqAndVolumeLines) {
   options.interval = 1.0;
   obs::Collector collector(clock, options);
   collector.add_target(
-      {"edge", [&]() -> util::Result<std::string> { return reg.scrape(); }});
+      {"edge", [&]() -> util::Result<obs::HostSnapshot> {
+        obs::HostSnapshot snapshot;
+        snapshot.metrics = reg.scrape();
+        return snapshot;
+      }});
 
   // First scrape: the relay cache totals, a standing write-queue depth,
   // and one queue-wait / volume-march observation each.

@@ -290,10 +290,22 @@ std::vector<MigrationAction> plan_migration(std::vector<ServiceLoadView> service
       continue;
     }
     // Balance towards the mean, bounded by the receiver's headroom.
-    const double imbalance = (donor_work - underloaded.assigned_work()) / 2.0;
+    const double gap = donor_work - underloaded.assigned_work();
     std::vector<NodeCost> moved =
-        select_nodes_to_move(donor->assigned, std::min(imbalance, headroom), headroom);
+        select_nodes_to_move(donor->assigned, std::min(gap / 2.0, headroom), headroom);
     if (moved.empty()) continue;
+    double moved_work = 0;
+    for (const NodeCost& n : moved) moved_work += n.work_units();
+    if (moved_work >= gap) {
+      // Moving this much would not narrow the gap, only swap the sides —
+      // and the next round would move it back. Nothing useful fits.
+      reject(explain, donor->subscriber_id, "underload fill would not narrow the work gap");
+      MigrationAction mark;
+      mark.kind = MigrationAction::Kind::MarkAvailable;
+      mark.from = underloaded.subscriber_id;
+      actions.push_back(mark);
+      continue;
+    }
     MigrationAction action;
     action.kind = MigrationAction::Kind::MoveNodes;
     action.from = donor->subscriber_id;

@@ -213,6 +213,25 @@ TEST(Migration, UnderloadedPullsFromMostLoaded) {
   EXPECT_LT(actions[0].nodes.size(), busy.size());  // balances, not steals all
 }
 
+TEST(Migration, UnderloadFillNeverMovesANodeThatWidensTheGap) {
+  // Both services idle below their budgets; one holds the only node. Its
+  // work (16730) exceeds half the gap, so moving it would only swap which
+  // service holds it — and the next round would move it back. The idle
+  // service is marked available instead, and the plan moves nothing.
+  const std::vector<MigrationAction> actions = plan_migration(
+      {make_view(1, 800'000, {}, false, /*under=*/true),
+       make_view(2, 2'666'667, {cost_of(7, 16'730)}, false, /*under=*/true)},
+      {.target_fps = 15.0});
+  bool marked_idle = false;
+  for (const MigrationAction& action : actions) {
+    EXPECT_NE(action.kind, MigrationAction::Kind::MoveNodes) << "moved node(s) " << action.from
+                                                             << " -> " << action.to;
+    marked_idle = marked_idle || (action.kind == MigrationAction::Kind::MarkAvailable &&
+                                  action.from == 1u);
+  }
+  EXPECT_TRUE(marked_idle);
+}
+
 TEST(Migration, IdleUnderloadedMarkedAvailable) {
   // "If no more nodes can be added, the service is marked as available to
   // support other overloaded services" (§3.2.7).

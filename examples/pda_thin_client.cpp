@@ -38,20 +38,25 @@ int main() {
   std::printf("UDDI scan: %zu render service instance(s) advertised\n", bindings.size());
   if (bindings.empty()) return 1;
 
-  // 2. Control plane: SOAP call for the binary client endpoint.
-  grid.container("laptop")->start();
-  auto proxy = grid.soap_proxy("laptop", "render");
-  if (!proxy.ok()) return 1;
-  auto endpoint = proxy.value().call("connectThinClient", {services::SoapValue{"hand"}}, 5.0);
-  grid.container("laptop")->stop();
-  if (!endpoint.ok()) {
-    std::printf("SOAP connect failed: %s\n", endpoint.error().c_str());
+  // 2. Control plane: SOAP call for the binary client endpoint,
+  // dispatched on this thread (as RaveGrid::recruit does). A serving
+  // thread would race the virtual clock: the simulated link's receive
+  // burns its whole timeout in virtual time while the container has not
+  // replied yet.
+  services::SoapCall call;
+  call.service = "render";
+  call.method = "connectThinClient";
+  call.call_id = 1;
+  call.args = {services::SoapValue{"hand"}};
+  const services::SoapResponse endpoint = grid.container("laptop")->dispatch(call);
+  if (endpoint.is_fault) {
+    std::printf("SOAP connect failed: %s\n", endpoint.fault_message.c_str());
     return 1;
   }
 
   // 3. Data plane: the PDA's interactive frame loop (camera orbit).
   core::ThinClient pda(clock, grid.fabric(), sim::zaurus_pda());
-  if (!pda.connect(endpoint.value().as_string(), "hand").ok()) return 1;
+  if (!pda.connect(endpoint.result.as_string(), "hand").ok()) return 1;
   scene::Camera cam;
   cam.eye = {0, 0.3f, 2.6f};
 

@@ -1,7 +1,5 @@
 #include "obs/collector.hpp"
 
-#include <utility>
-
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
 
@@ -18,7 +16,6 @@ void Collector::add_target(ScrapeTarget target) {
   }
   Target entry;
   entry.health.host = target.host;
-  entry.verdict.host = target.host;
   entry.spec = std::move(target);
   entry.next_due = clock_->now();  // first tick scrapes immediately
   targets_.push_back(std::move(entry));
@@ -58,7 +55,6 @@ void Collector::scrape_target(Target& target, double now) {
   target.health.last_error.clear();
   store_.ingest(target.spec.host, parse_prometheus(snapshot.value().metrics), now);
   target.events = decode_flight_events(snapshot.value().flight);
-  target.verdict = std::move(snapshot.value().health);
 }
 
 size_t Collector::tick() {
@@ -90,14 +86,6 @@ std::vector<TimelineEvent> Collector::merged() const {
   for (const Target& target : targets_)
     for (const FlightEvent& event : target.events) events.push_back({target.spec.host, event});
   return merge_timeline(std::move(events));
-}
-
-HealthVerdict Collector::verdict(const std::string& host) const {
-  for (const Target& target : targets_)
-    if (target.spec.host == host) return target.verdict;
-  HealthVerdict unknown;
-  unknown.host = host;
-  return unknown;
 }
 
 std::vector<Collector::TargetHealth> Collector::health() const {

@@ -4,12 +4,12 @@
 // "snapshot" SOAP method): the host's Prometheus text exposition, its
 // flight-recorder export and its canary verdict. The exposition is parsed
 // and appended into a TimeSeriesStore tagged by host; the flight events
-// are kept per host and merged into the causally ordered grid timeline;
-// the verdict is kept as the host's last reported health. Transport is
-// injected as a per-target pull function so the same collector runs over
-// the in-process fabric, TCP, or a synthetic generator in tests;
-// retry/backoff lives inside the wiring (the grid uses Fabric::dial_retry
-// with its RetryPolicy).
+// are kept per host and merged into the causally ordered grid timeline.
+// The verdict serves remote status interrogation; the grid's planner asks
+// its canary in process. Transport is injected as a per-target pull
+// function so the same collector runs over the in-process fabric, TCP, or
+// a synthetic generator in tests; retry/backoff lives inside the wiring
+// (the grid uses Fabric::dial_retry with its RetryPolicy).
 //
 // Failure semantics: a failed pull is a telemetry *gap*, never a service
 // failure — the target stays subscribed, the gap is counted and logged
@@ -76,10 +76,6 @@ class Collector {
   // events (see merge_timeline).
   [[nodiscard]] std::vector<TimelineEvent> merged() const;
 
-  // The canary verdict `host` reported in its last successful pull
-  // (Unknown for an unknown or never-pulled host).
-  [[nodiscard]] HealthVerdict verdict(const std::string& host) const;
-
   // Per-target collection health: successes, gaps, and when each last
   // happened (-1 = never).
   struct TargetHealth {
@@ -102,7 +98,6 @@ class Collector {
     ScrapeTarget spec;
     TargetHealth health;
     std::vector<FlightEvent> events;  // latest successful pull
-    HealthVerdict verdict;            // latest successful pull
     double next_due = 0;              // poll when now >= next_due
   };
 

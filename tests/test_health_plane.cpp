@@ -248,7 +248,7 @@ TEST(HealthPlane, CanaryStateMachineAndHealthSoapRoundTrip) {
     EXPECT_GE(verdict.join_seconds, 0.0);
     EXPECT_GE(verdict.last_frame_age, 0.0);
 
-    // The host's status snapshot serves the same verdict over SOAP…
+    // The host's status snapshot serves the same verdict over SOAP.
     services::SoapCall call;
     call.service = "status";
     call.method = "snapshot";
@@ -261,11 +261,6 @@ TEST(HealthPlane, CanaryStateMachineAndHealthSoapRoundTrip) {
     EXPECT_EQ(parsed.value().health.state, obs::HealthState::Healthy);
     EXPECT_EQ(parsed.value().health.frames_ok, verdict.frames_ok);
     EXPECT_EQ(parsed.value().health.frames_failed, verdict.frames_failed);
-    // …and the collector keeps what the last pull reported.
-    EXPECT_EQ(grid.collector()->poll_now(), 2u);
-    EXPECT_EQ(grid.collector()->verdict("laptop").state, obs::HealthState::Healthy);
-    EXPECT_EQ(grid.collector()->verdict("laptop").frames_ok, verdict.frames_ok);
-    EXPECT_EQ(grid.collector()->verdict("datahost").state, obs::HealthState::Unknown);
 
     // The stream goes quiet: two consecutive probe timeouts escalate to
     // Unhealthy, and the dashboard shows it.

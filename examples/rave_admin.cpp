@@ -48,9 +48,9 @@ void cmd_ldap(core::RaveGrid& grid) {
 
 // Pull the merged causally-ordered grid timeline: enable the health
 // plane (the collector pulling each host's status snapshot, flight
-// recorder included, over SOAP), run the demo session across both render hosts for a few virtual
-// seconds so the balancer has real load reports to decide (and record)
-// with, then poll every ring and print the merge.
+// recorder included, over SOAP), run the demo session across both render
+// hosts for a few virtual seconds so the balancer has real load reports
+// to decide (and record) with, then poll every ring and print the merge.
 void cmd_timeline(util::SimClock& clock, core::RaveGrid& grid, core::DataService& data) {
   obs::set_clock(&clock);               // virtual-time stamps: reproducible output
   obs::Hlc::global().set_enabled(true);  // stamp events for the causal merge

@@ -654,7 +654,7 @@ TEST(ObsStatus, MetricsMethodServesScrape) {
   ASSERT_TRUE(proxy.ok()) << proxy.error();
   grid.container("laptop")->start();
   auto scraped = proxy.value().call("snapshot", {}, 2.0);
-  // The snapshot replaced the per-plane methods: they are gone.
+  // One pull serves every plane: no per-plane method answers.
   for (const char* retired : {"metrics", "flight", "health"})
     EXPECT_FALSE(proxy.value().call(retired, {}, 2.0).ok()) << retired;
   grid.container("laptop")->stop();

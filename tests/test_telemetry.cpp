@@ -45,8 +45,6 @@ HostSnapshot metrics_only(std::string exposition) {
   snapshot.metrics = std::move(exposition);
   return snapshot;
 }
-}  // namespace
-namespace {
 
 // --- time-series store -------------------------------------------------------
 

@@ -17,9 +17,9 @@
 //   --timeline     print the merged causally-ordered grid timeline on exit
 //   --once         suppress the per-second redraws; emit one snapshot at
 //                  the end of the run
-//   --json         machine-readable snapshot (metrics + SLO states +
-//                  canary health) instead of the text dashboard; implies
-//                  --once
+//   --json         machine-readable snapshot (effective config + metrics +
+//                  SLO states + canary health) instead of the text
+//                  dashboard; implies --once
 //   --seconds N    virtual seconds to run (default 12)
 #include <cstdio>
 #include <cstdlib>
@@ -29,10 +29,15 @@
 
 #include "core/grid.hpp"
 #include "mesh/generators.hpp"
+#include "net/reactor.hpp"
 #include "obs/event.hpp"
 #include "obs/hlc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/trace.hpp"
+#include "util/log.hpp"
+#include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace rave;
 
@@ -63,12 +68,33 @@ void append_json_number(std::string& out, double v) {
   out += buf;
 }
 
+// The effective process configuration: what the RAVE_* environment
+// variables (or the defaults) resolved to.
+void append_config(std::string& out) {
+  const net::ReactorChannelOptions net = net::default_channel_options();
+  out += "{\"log_level\":\"";
+  out += util::log_level_name(util::log_level());
+  out += "\",\"simd\":\"";
+  out += util::simd_level_name(util::active_simd_level());
+  out += "\",\"net_queue_limit\":";
+  append_json_number(out, static_cast<double>(net.write_queue_limit));
+  out += ",\"net_shed\":\"";
+  out += net::shed_policy_name(net.shed_policy);
+  out += "\",\"trace\":";
+  out += obs::Tracer::global().enabled() ? "true" : "false";
+  out += ",\"pool_workers\":";
+  append_json_number(out, static_cast<double>(util::ThreadPool::shared().size()));
+  out += "}";
+}
+
 // The --once --json snapshot: everything a monitoring pipeline wants from
-// one shot — the process-wide metric samples, the SLO engine's current
-// states, and the canary verdicts.
+// one shot — the effective configuration, the process-wide metric
+// samples, the SLO engine's current states, and the canary verdicts.
 std::string json_snapshot(core::RaveGrid& grid, double now) {
   std::string out = "{\"now\":";
   append_json_number(out, now);
+  out += ",\"config\":";
+  append_config(out);
   out += ",\"metrics\":[";
   bool first = true;
   for (const obs::MetricSample& s : obs::MetricsRegistry::global().samples()) {

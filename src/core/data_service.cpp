@@ -22,6 +22,9 @@ using util::Result;
 using util::Status;
 
 namespace {
+// Re-run migration planning at most this often per session (seconds).
+constexpr double kRebalanceInterval = 0.5;
+
 // One line per migration action for flight-recorder decisions.
 std::string describe_action(const MigrationAction& action) {
   switch (action.kind) {
@@ -420,10 +423,10 @@ size_t DataService::pump_session(Session& session) {
 
   bool pressure = overload_seen;
   if (!pressure && advisor_ && options_.auto_rebalance &&
-      clock_->now() - session.last_rebalance >= options_.rebalance_interval) {
+      clock_->now() - session.last_rebalance >= kRebalanceInterval) {
     // Telemetry-plane pressure: a sustained SLO burn triggers a planning
     // round even while every instant EWMA flag is still quiet. Checked at
-    // the rebalance-interval cadence so the advisor is not hammered.
+    // the planning cadence so the advisor is not hammered.
     for (const Subscriber& sub : session.subscribers) {
       if (!sub.alive || sub.kind != SubscriberKind::RenderService) continue;
       for (const obs::Advisory& advisory : advisor_(sub.host))
@@ -432,7 +435,7 @@ size_t DataService::pump_session(Session& session) {
     }
   }
   if (pressure && options_.auto_rebalance &&
-      clock_->now() - session.last_rebalance >= options_.rebalance_interval) {
+      clock_->now() - session.last_rebalance >= kRebalanceInterval) {
     session.last_rebalance = clock_->now();
     rebalance_locked(session);
   }

@@ -43,8 +43,6 @@ class DataService {
   // its assigned nodes are re-dispatched to survivors.
   struct Options : ServiceConfig {
     std::string host_name = "datahost";
-    // Re-run migration planning at most this often per session (seconds).
-    double rebalance_interval = 0.5;
     // Automatically rebalance on over/underload reports.
     bool auto_rebalance = true;
   };
@@ -109,8 +107,8 @@ class DataService {
   // host, consulted when building planner inputs so plan_migration sees
   // sustained SLO burns, step-change anomalies and canary verdicts next
   // to the instant EWMA flags. A Critical trend advisory (an SLO burn)
-  // also *triggers* a rebalance round (at the usual rebalance_interval
-  // cadence) even when no load report has tripped the EWMA thresholds
+  // also *triggers* a rebalance round (at most one per session every
+  // 0.5 s, the planning cadence) even when no load report has tripped the EWMA thresholds
   // yet. A Critical canary advisory (an Unhealthy verdict) *condemns* the
   // service: it is evicted (and its nodes re-dispatched) on the next
   // failure-detector round, before its lease would expire.

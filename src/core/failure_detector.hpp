@@ -27,7 +27,6 @@ struct RetryPolicy {
   double initial_backoff = 0.05;  // seconds before the second attempt
   double multiplier = 2.0;        // backoff growth per further attempt
   double max_backoff = 1.0;       // backoff ceiling, seconds
-  double attempt_timeout = 1.0;   // per-attempt deadline for request paths
 
   // Seconds to wait after failed attempt `attempt` (0-based). The first
   // retry waits initial_backoff, then multiplies, clamped to max_backoff.

@@ -98,9 +98,6 @@ class RaveGrid {
                         std::vector<obs::SloSpec> slos = obs::default_render_slos());
   [[nodiscard]] obs::Collector* collector() { return collector_.get(); }
   [[nodiscard]] obs::SloEngine* slo_engine() { return slo_.get(); }
-  // Retry policy for the collector's transport; set before enabling
-  // either plane.
-  void set_scrape_retry(RetryPolicy policy) { scrape_retry_ = policy; }
 
   // The rave-top view: sparklines + SLO states + last-migration explain.
   [[nodiscard]] std::string telemetry_dashboard();
@@ -153,6 +150,7 @@ class RaveGrid {
   std::unique_ptr<obs::SloEngine> slo_;
   // Health plane (null until enable_health_plane).
   std::unique_ptr<obs::Canary> canary_;
+  // The collector's dial schedule: one retry after 50 ms.
   RetryPolicy scrape_retry_{/*max_attempts=*/2, /*initial_backoff=*/0.05};
 };
 

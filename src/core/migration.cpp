@@ -8,6 +8,10 @@ namespace rave::core {
 namespace {
 using obs::Advisory;
 
+// Fraction of a receiver's headroom migration may fill in one step: the
+// safety margin against overshooting.
+constexpr double kHeadroomFillFraction = 0.8;
+
 // A view's advisories, split the way explain text and rejections read
 // them: trend (SLO burn, anomaly) and canary, each with its reasons
 // joined by "; ".
@@ -220,7 +224,7 @@ std::vector<MigrationAction> plan_migration(std::vector<ServiceLoadView> service
               });
     for (ServiceLoadView* receiver : receivers) {
       if (deficit <= 0) break;
-      const double headroom = headroom_of(*receiver, config) * config.headroom_fill_fraction;
+      const double headroom = headroom_of(*receiver, config) * kHeadroomFillFraction;
       if (headroom <= 0) {
         reject(explain, receiver->subscriber_id, "no headroom for overload relief");
         continue;
@@ -264,7 +268,7 @@ std::vector<MigrationAction> plan_migration(std::vector<ServiceLoadView> service
              advisory_rejection(underloaded, "blocks underload fill"));
       continue;
     }
-    const double headroom = headroom_of(underloaded, config) * config.headroom_fill_fraction;
+    const double headroom = headroom_of(underloaded, config) * kHeadroomFillFraction;
     if (headroom <= 0) continue;
     // Take from the most loaded other service.
     ServiceLoadView* donor = nullptr;

@@ -59,9 +59,6 @@ struct MigrationAction {
 
 struct MigrationConfig {
   double target_fps = 15.0;
-  // Fraction of a receiver's headroom migration may fill in one step —
-  // the safety margin against overshooting.
-  double headroom_fill_fraction = 0.8;
 };
 
 // Why the planner chose what it chose: the capacity inputs it saw and the

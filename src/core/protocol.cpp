@@ -282,35 +282,24 @@ Result<TileAssignMsg> decode_tile_assign(const net::Message& msg) {
   return out;
 }
 
-namespace {
-net::Message encode_tile_like(uint16_t type, const TileResultMsg& m) {
+net::Message encode(const TileResultMsg& m) {
   ByteWriter w;
   write_tile(w, m.tile);
   w.u64(m.generation);
   w.bytes(m.framebuffer);
-  return {type, w.take()};
+  return finish(kMsgTileResult, w);
 }
 
-Result<TileResultMsg> decode_tile_like(const net::Message& msg, uint16_t type) {
-  if (msg.type != type) return make_error("protocol: unexpected message type");
-  ByteReader r(msg.payload);
+Result<TileResultMsg> decode_tile_result(const net::Message& msg) {
+  auto reader = open(msg, kMsgTileResult);
+  if (!reader.ok()) return make_error(reader.error());
+  ByteReader& r = reader.value();
   TileResultMsg out;
   out.tile = read_tile(r);
   out.generation = r.u64();
   out.framebuffer = r.bytes();
   if (!r.ok()) return make_error("protocol: truncated tile result");
   return out;
-}
-}  // namespace
-
-net::Message encode(const TileResultMsg& m) { return encode_tile_like(kMsgTileResult, m); }
-
-Result<TileResultMsg> decode_tile_result(const net::Message& msg) {
-  return decode_tile_like(msg, kMsgTileResult);
-}
-
-net::Message encode_subset_frame(const TileResultMsg& m) {
-  return encode_tile_like(kMsgSubsetFrame, m);
 }
 
 net::Message encode(const AssistRequestMsg& m) {

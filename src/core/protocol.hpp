@@ -37,7 +37,6 @@ enum MsgType : uint16_t {
   kMsgTileResult = 0x0121,     // assisting service → requesting service
   kMsgAssistRequest = 0x0122,  // render service → data: need tile help
   kMsgAssistGrant = 0x0123,    // data → render service: assistant access points
-  kMsgSubsetFrame = 0x0124,    // subset renderer → compositing service: frame+depth
   // Cached frame streaming, the one frame delivery protocol. A stream frame
   // is FrameBegin, then one TileRef or TileData per tile, then FrameEnd;
   // TileMiss is the receiver's cache-miss fallback, answered with a
@@ -218,7 +217,6 @@ net::Message encode(const TileAssignMsg& m);
 net::Message encode(const TileResultMsg& m);
 net::Message encode(const AssistRequestMsg& m);
 net::Message encode(const AssistGrantMsg& m);
-net::Message encode_subset_frame(const TileResultMsg& m);  // kMsgSubsetFrame
 net::Message encode(const StreamSubscribeMsg& m);
 net::Message encode(const FrameBeginMsg& m);
 net::Message encode(const TileRefMsg& m);

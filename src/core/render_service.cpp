@@ -399,17 +399,11 @@ void RenderService::account_frame(Replica& replica, uint64_t triangles, uint64_t
                                   std::vector<std::pair<scene::NodeId, uint64_t>> node_rays) {
   const double volume_seconds =
       sim::volume_march_seconds(options_.profile, volume.rays_cast, volume.volume_samples);
-  double frame_seconds;
-  if (options_.simulate_timing) {
-    frame_seconds =
-        sim::offscreen_sequential_seconds(options_.profile, triangles, pixels) + volume_seconds;
-    clock_->sleep_for(frame_seconds);
-  } else {
-    // Real time: approximate with the modelled cost when the clock has no
-    // better source (the rasterizer is not the 2004 hardware).
-    frame_seconds =
-        sim::offscreen_sequential_seconds(options_.profile, triangles, pixels) + volume_seconds;
-  }
+  // The modelled cost on the service's 2004 machine profile (the software
+  // rasterizer is not that hardware); simulated timing also spends it.
+  const double frame_seconds =
+      sim::offscreen_sequential_seconds(options_.profile, triangles, pixels) + volume_seconds;
+  if (options_.simulate_timing) clock_->sleep_for(frame_seconds);
   last_frame_seconds_ = frame_seconds;
   ++stats_.frames_rendered;
   stats_.volume_rays += volume.rays_cast;

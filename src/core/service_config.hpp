@@ -1,13 +1,9 @@
-// ServiceConfig: the knobs shared by every RAVE service, collapsed from
-// the per-class ad-hoc Options fields that had accreted on DataService
-// and RenderService. Both services' Options structs now *inherit* this,
-// so `options.target_fps = 30` keeps working everywhere while the
-// fault-tolerance layer (retry policy, leases, tile timeouts) is
-// configured in exactly one documented place.
+// ServiceConfig: the knobs shared by every RAVE service. DataService and
+// RenderService Options both inherit it, so the fault-tolerance settings
+// (dial retry, leases, tile timeouts) live in one place.
 //
-// Every default is back-compat: leases and tile timeouts default to
-// *disabled* (0), and the retry policy preserves the old single-attempt
-// dial semantics unless a caller opts into retries.
+// Leases and tile timeouts default to disabled (0), and the retry policy
+// dials once.
 #pragma once
 
 #include "core/capacity.hpp"
@@ -25,14 +21,13 @@ struct ServiceConfig {
   LoadThresholds thresholds{};
 
   // --- fault tolerance -------------------------------------------------------
-  // Dial/request retry schedule. max_attempts=1 reproduces the historic
-  // fail-fast behaviour; raise it to ride out transient link loss.
+  // Schedule of the render service's fabric dials (to its data service
+  // and its assistants). max_attempts=1 fails fast; raise it to ride out
+  // transient link loss.
   RetryPolicy retry{.max_attempts = 1};
-  // How often a service re-asserts liveness (registry heartbeats, load
-  // reports used as data-plane heartbeats), seconds.
-  double heartbeat_interval = 0.5;
-  // Lease a peer holds before it is declared failed; 0 disables lease
-  // expiry (back-compat: seed behaviour had no failure detection).
+  // Data service only: a render service or client that sends nothing for
+  // this long is declared failed and its nodes are re-dispatched; 0
+  // disables lease expiry.
   double lease_seconds = 0.0;
   // How long a dispatched peer tile may stay unanswered before the
   // requester abandons that assistant and re-dispatches its tile;

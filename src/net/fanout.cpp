@@ -8,10 +8,10 @@
 
 namespace rave::net {
 
-FanoutHub::SubscriberId FanoutHub::subscribe(ChannelPtr channel, Filter filter) {
+FanoutHub::SubscriberId FanoutHub::subscribe(ChannelPtr channel) {
   std::lock_guard lock(mu_);
   const SubscriberId id = next_id_++;
-  subscribers_.push_back({id, std::move(channel), std::move(filter)});
+  subscribers_.push_back({id, std::move(channel)});
   return id;
 }
 
@@ -35,22 +35,9 @@ size_t FanoutHub::publish(std::span<const Message> messages) {
   size_t delivered = 0;
   uint64_t unicast = 0;
   for (auto& sub : snapshot) {
-    // A filtered subscriber gets the messages its filter passes; the rest
-    // are not counted anywhere.
-    std::vector<size_t> index;
-    std::vector<Message> passed;
-    if (sub.filter) {
-      for (size_t i = 0; i < messages.size(); ++i)
-        if (sub.filter(messages[i])) {
-          index.push_back(i);
-          passed.push_back(messages[i]);
-        }
-    }
-    const std::vector<util::Status> sent =
-        sub.channel->send_batch(sub.filter ? std::span<const Message>(passed) : messages);
-    for (size_t k = 0; k < sent.size(); ++k) {
-      if (!sent[k].ok()) continue;
-      const size_t i = sub.filter ? index[k] : k;
+    const std::vector<util::Status> sent = sub.channel->send_batch(messages);
+    for (size_t i = 0; i < sent.size(); ++i) {
+      if (!sent[i].ok()) continue;
       ++delivered;
       unicast += messages[i].wire_size();
       reached[i] = true;

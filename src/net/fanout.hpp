@@ -28,19 +28,16 @@ namespace rave::net {
 class FanoutHub {
  public:
   using SubscriberId = uint64_t;
-  // Optional per-subscriber filter: return false to skip delivery (used
-  // for interest-set filtering of scene updates).
-  using Filter = std::function<bool(const Message&)>;
 
-  SubscriberId subscribe(ChannelPtr channel, Filter filter = {});
+  SubscriberId subscribe(ChannelPtr channel);
   void unsubscribe(SubscriberId id);
 
-  // Send `messages` to all (filtered) subscribers, each subscriber's share
-  // as one Channel::send_batch. Returns the number of deliveries (messages
-  // times subscribers that took them). The subscriber list is snapshotted
-  // once under the lock and delivery runs outside it, so one slow or
-  // reentrant send cannot serialize the hub (or deadlock a subscriber that
-  // unsubscribes from inside its filter).
+  // Send `messages` to all subscribers, each as one Channel::send_batch.
+  // Returns the number of deliveries (messages times subscribers that took
+  // them). The subscriber list is snapshotted once under the lock and
+  // delivery runs outside it, so one slow or reentrant send cannot
+  // serialize the hub (or deadlock a channel that unsubscribes from inside
+  // its send).
   size_t publish(std::span<const Message> messages);
   size_t publish(const Message& message) { return publish(std::span(&message, 1)); }
 
@@ -60,8 +57,7 @@ class FanoutHub {
 
   // Bytes the payload would cost multicast (counted once per published
   // message that reached anyone) vs unicast (counted per actual delivery —
-  // filtered-out and failed sends don't count) — the bandwidth saving the
-  // paper cites.
+  // failed sends don't count) — the bandwidth saving the paper cites.
   [[nodiscard]] uint64_t multicast_bytes() const {
     return multicast_bytes_.load(std::memory_order_relaxed);
   }
@@ -73,7 +69,6 @@ class FanoutHub {
   struct Subscriber {
     SubscriberId id;
     ChannelPtr channel;
-    Filter filter;
   };
 
   mutable std::mutex mu_;

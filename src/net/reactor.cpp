@@ -22,6 +22,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/log.hpp"
 
 namespace rave::net {
 
@@ -753,20 +754,48 @@ ChannelPtr ReactorImpl::adopt_fd(int fd, const ReactorChannelOptions& opts) {
   return std::make_shared<ReactorChannel>(std::move(conn));
 }
 
+const char* shed_policy_name(ShedPolicy policy) {
+  switch (policy) {
+    case ShedPolicy::Block: return "block";
+    case ShedPolicy::DropNewest: return "drop-newest";
+    case ShedPolicy::DropOldest: return "drop-oldest";
+  }
+  return "?";
+}
+
+bool parse_shed_policy(const char* name, ShedPolicy& out) {
+  if (name == nullptr) return false;
+  for (const ShedPolicy p : {ShedPolicy::Block, ShedPolicy::DropNewest, ShedPolicy::DropOldest}) {
+    if (std::strcmp(name, shed_policy_name(p)) == 0) {
+      out = p;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool parse_queue_limit(const char* text, size_t& out) {
+  if (text == nullptr) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || v <= 0) return false;
+  out = static_cast<size_t>(v);
+  return true;
+}
+
 ReactorChannelOptions default_channel_options() {
   static const ReactorChannelOptions defaults = [] {
     ReactorChannelOptions opts;
-    if (const char* env = std::getenv("RAVE_NET_QUEUE")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != nullptr && *end == '\0' && v > 0) opts.write_queue_limit = static_cast<size_t>(v);
-    }
-    if (const char* env = std::getenv("RAVE_NET_SHED")) {
-      const std::string policy = env;
-      if (policy == "block") opts.shed_policy = ShedPolicy::Block;
-      if (policy == "drop-newest") opts.shed_policy = ShedPolicy::DropNewest;
-      if (policy == "drop-oldest") opts.shed_policy = ShedPolicy::DropOldest;
-    }
+    const char* queue = std::getenv("RAVE_NET_QUEUE");
+    if (queue != nullptr && !parse_queue_limit(queue, opts.write_queue_limit))
+      util::log_warn("net") << "RAVE_NET_QUEUE='" << queue
+                            << "' not a positive frame count; using " << opts.write_queue_limit;
+    const char* shed = std::getenv("RAVE_NET_SHED");
+    if (shed != nullptr && !parse_shed_policy(shed, opts.shed_policy))
+      util::log_warn("net") << "RAVE_NET_SHED='" << shed
+                            << "' not recognized (block|drop-newest|drop-oldest); using "
+                            << shed_policy_name(opts.shed_policy);
     return opts;
   }();
   return defaults;

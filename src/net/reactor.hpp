@@ -2,12 +2,13 @@
 //
 // A single epoll event-loop thread drives every non-blocking socket and
 // listener: no thread per connection or per listener, so subscriber count
-// is not capped by threads and one stalled client cannot wedge a publisher
-// mid-fanout. Reads are parsed into per-channel receive queues, writes
-// drain bounded per-channel write queues via scatter-gather sendmsg
-// (header + payload prefix + shared tail in one syscall, zero payload
-// copies), and a slow client trips its queue's shed policy instead of
-// stalling the sender.
+// is not capped by threads. Reads are parsed into per-channel receive
+// queues, writes drain bounded per-channel write queues via scatter-gather
+// sendmsg (header + payload prefix + shared tail in one syscall, zero
+// payload copies). A stalled client's queue absorbs write_queue_limit
+// frames; after that its shed policy decides. Under the default Block
+// policy the sender then waits, so one stalled client *can* wedge a
+// publisher mid-fanout; only the drop policies keep the sender moving.
 //
 // The synchronous Channel interface stays: a reactor channel's send()
 // enqueues (and opportunistically flushes inline), receive_result() waits
@@ -42,8 +43,16 @@ struct ReactorChannelOptions {
 };
 
 // Defaults, overridable by environment: RAVE_NET_QUEUE=<frames> and
-// RAVE_NET_SHED=block|drop-newest|drop-oldest (see README).
+// RAVE_NET_SHED=block|drop-newest|drop-oldest (see README). A value that
+// does not parse keeps the default and logs one warning.
 ReactorChannelOptions default_channel_options();
+
+// "block"|"drop-newest"|"drop-oldest".
+const char* shed_policy_name(ShedPolicy policy);
+// Parse one of shed_policy_name's names (case-sensitive). False on unknown.
+bool parse_shed_policy(const char* name, ShedPolicy& out);
+// Parse a positive decimal frame count. False on anything else.
+bool parse_queue_limit(const char* text, size_t& out);
 
 struct ReactorImpl;
 class ReactorListener;

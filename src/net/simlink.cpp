@@ -135,38 +135,6 @@ class SimChannel final : public Channel {
   LinkProfile profile_;
   ChannelStats stats_;
 };
-
-// Delays receipt from an inner channel per the profile.
-class LinkWrapper final : public Channel {
- public:
-  LinkWrapper(ChannelPtr inner, util::Clock& clock, LinkProfile profile)
-      : inner_(std::move(inner)), clock_(&clock), profile_(std::move(profile)) {}
-
-  util::Status send(Message message) override {
-    // Outbound serialization delay is charged to the sender.
-    const double delay = profile_.transmit_seconds(message.wire_size());
-    if (delay > 0) clock_->sleep_for(delay);
-    return inner_->send(std::move(message));
-  }
-
-  util::Result<Message> receive_result(double timeout_seconds) override {
-    auto msg = inner_->receive_result(timeout_seconds);
-    if (msg.ok()) {
-      const double delay = profile_.transmit_seconds(msg.value().wire_size()) + profile_.latency_s;
-      if (delay > 0) clock_->sleep_for(delay);
-    }
-    return msg;
-  }
-
-  void close() override { inner_->close(); }
-  [[nodiscard]] bool is_open() const override { return inner_->is_open(); }
-  [[nodiscard]] ChannelStats stats() const override { return inner_->stats(); }
-
- private:
-  ChannelPtr inner_;
-  util::Clock* clock_;
-  LinkProfile profile_;
-};
 }  // namespace
 
 std::pair<ChannelPtr, ChannelPtr> make_simulated_pair(util::Clock& clock,
@@ -175,10 +143,6 @@ std::pair<ChannelPtr, ChannelPtr> make_simulated_pair(util::Clock& clock,
   auto b_to_a = std::make_shared<SimPipe>();
   return {std::make_shared<SimChannel>(a_to_b, b_to_a, clock, profile),
           std::make_shared<SimChannel>(b_to_a, a_to_b, clock, profile)};
-}
-
-ChannelPtr wrap_with_link(ChannelPtr inner, util::Clock& clock, const LinkProfile& profile) {
-  return std::make_shared<LinkWrapper>(std::move(inner), clock, profile);
 }
 
 }  // namespace rave::net

@@ -47,9 +47,4 @@ LinkProfile ethernet_100mbit();  // switched 100 Mbit ethernet
 std::pair<ChannelPtr, ChannelPtr> make_simulated_pair(util::Clock& clock,
                                                       const LinkProfile& profile);
 
-// Wrap an existing channel pair's endpoint so that *receiving* from it is
-// delayed per the profile (used to add a link model in front of a real TCP
-// channel).
-ChannelPtr wrap_with_link(ChannelPtr inner, util::Clock& clock, const LinkProfile& profile);
-
 }  // namespace rave::net

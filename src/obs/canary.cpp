@@ -10,6 +10,11 @@
 
 namespace rave::obs {
 
+namespace {
+// A steady-state frame older than this marks the probe Degraded.
+constexpr double kDegradedAgeSeconds = 0.75;
+}  // namespace
+
 Canary::Canary(util::Clock& clock, core::Fabric& fabric, Options options)
     : clock_(&clock), fabric_(&fabric), options_(std::move(options)) {}
 
@@ -123,7 +128,7 @@ void Canary::probe_one(Probe& probe, const std::function<void()>& pump) {
   probe.last_frame_age = receiver != nullptr ? receiver->last_frame_age() : -1;
   if (probe.last_frame_age >= 0)
     reg.gauge("rave_canary_frame_age_seconds", labels).set(probe.last_frame_age);
-  if (probe.last_frame_age > options_.degraded_age_seconds) {
+  if (probe.last_frame_age > kDegradedAgeSeconds) {
     ++probe.frames_late;
     reg.counter("rave_canary_frames_total",
                 {{"host", probe.host},
@@ -132,7 +137,7 @@ void Canary::probe_one(Probe& probe, const std::function<void()>& pump) {
         .inc();
     char reason[96];
     std::snprintf(reason, sizeof(reason), "frame age %.3fs > %.3fs", probe.last_frame_age,
-                  options_.degraded_age_seconds);
+                  kDegradedAgeSeconds);
     set_state(probe, HealthState::Degraded, reason);
   } else {
     ++probe.frames_ok;

@@ -34,9 +34,8 @@ namespace rave::obs {
 class Canary {
  public:
   struct Options {
-    double frame_timeout = 2.0;          // probe deadline, clock seconds
-    double degraded_age_seconds = 0.75;  // steady-state frames older => Degraded
-    int unhealthy_after = 2;             // consecutive failed probes => Unhealthy
+    double frame_timeout = 2.0;  // probe deadline, clock seconds
+    int unhealthy_after = 2;     // consecutive failed probes => Unhealthy
     // One probe per listed class; default covers every class.
     std::vector<compress::QualityClass> qualities = {compress::QualityClass::Workstation,
                                                      compress::QualityClass::Pda};

@@ -21,14 +21,6 @@ void Collector::add_target(ScrapeTarget target) {
   targets_.push_back(std::move(entry));
 }
 
-void Collector::remove_target(const std::string& host) {
-  for (size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].spec.host != host) continue;
-    targets_.erase(targets_.begin() + static_cast<ptrdiff_t>(i));
-    return;
-  }
-}
-
 void Collector::scrape_target(Target& target, double now) {
   target.health.last_attempt = now;
   util::Result<HostSnapshot> snapshot = target.spec.scrape

@@ -60,7 +60,6 @@ class Collector {
   Collector(util::Clock& clock, Options options);
 
   void add_target(ScrapeTarget target);
-  void remove_target(const std::string& host);
   [[nodiscard]] size_t target_count() const { return targets_.size(); }
 
   // Pull every target whose interval has elapsed; returns the number of

@@ -1,29 +1,14 @@
 #include "obs/flight_recorder.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/trace.hpp"
 
 namespace rave::obs {
 
-size_t parse_flight_capacity(const char* text, size_t fallback) {
-  if (text == nullptr || *text == '\0') return fallback;
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0') return fallback;
-  if (value < 16) return 16;
-  if (value > 65536) return 65536;
-  return static_cast<size_t>(value);
-}
-
 FlightRecorder& FlightRecorder::global() {
-  static FlightRecorder* recorder = [] {
-    auto* r = new FlightRecorder();  // never destroyed
-    r->set_capacity(parse_flight_capacity(std::getenv("RAVE_FLIGHT_EVENTS"), 512));
-    return r;
-  }();
+  static FlightRecorder* recorder = new FlightRecorder();  // never destroyed
   return *recorder;
 }
 

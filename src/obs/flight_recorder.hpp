@@ -31,11 +31,6 @@ struct FlightEvent {
   HlcStamp hlc;
 };
 
-// RAVE_FLIGHT_EVENTS parse, bounds-clamped to [16, 65536]; empty/garbage
-// falls back to `fallback`. Exposed for testing — the env var itself is
-// read once at FlightRecorder::global() construction.
-size_t parse_flight_capacity(const char* text, size_t fallback);
-
 class FlightRecorder {
  public:
   static FlightRecorder& global();

@@ -1,8 +1,6 @@
 #include "obs/hlc.hpp"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 #include "net/channel.hpp"
 #include "util/clock.hpp"
@@ -10,13 +8,7 @@
 namespace rave::obs {
 
 Hlc& Hlc::global() {
-  static Hlc* clock = [] {
-    auto* c = new Hlc();  // never destroyed
-    const char* env = std::getenv("RAVE_HLC");
-    if (env != nullptr && (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0))
-      c->set_enabled(true);
-    return c;
-  }();
+  static Hlc* clock = new Hlc();  // never destroyed
   return *clock;
 }
 

@@ -9,9 +9,9 @@
 //
 // Stamps ride net::Message behind an optional wire flag next to the
 // 0x8000 trace flag; unstamped traffic stays byte-identical on both
-// transport engines. Like tracing, the clock is off by default (enable
-// with RAVE_HLC=1 or set_enabled), and the disabled path is one relaxed
-// atomic load per site.
+// transport engines. The clock is off by default (the health-plane tools
+// call set_enabled), and the disabled path is one relaxed atomic load per
+// site.
 #pragma once
 
 #include <atomic>
@@ -45,8 +45,6 @@ class Hlc {
  public:
   static Hlc& global();
 
-  // Enabled state; the global clock also honours RAVE_HLC=1/on at first
-  // access (mirrors RAVE_TRACE).
   void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
   [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 

@@ -2,18 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 namespace rave::obs {
 
 Profiler& Profiler::global() {
-  static Profiler* profiler = [] {
-    auto* p = new Profiler();  // never destroyed
-    if (const char* env = std::getenv("RAVE_PROFILE"))
-      if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0) p->set_enabled(true);
-    return p;
-  }();
+  static Profiler* profiler = new Profiler();  // never destroyed
   return *profiler;
 }
 

@@ -10,8 +10,8 @@
 // SimClock call tick() at chosen virtual instants, so identical runs
 // produce identical collapsed output. Disabled (the default), the only
 // cost per span is one relaxed atomic load — inside the same <2%
-// BM_ObsOverhead budget as tracing. Enable with RAVE_PROFILE=1 or
-// Profiler::global().set_enabled(true).
+// BM_ObsOverhead budget as tracing. Enable with
+// Profiler::global().set_enabled(true) and sample with start().
 #pragma once
 
 #include <atomic>

@@ -29,20 +29,15 @@ bool selector_matches(const std::vector<std::pair<std::string, std::string>>& se
   return true;
 }
 
-// The host a series speaks for: its own host="..." label when present
-// (per-host families in a shared in-process registry), else the scrape
-// tag. Series carrying another host's label under a foreign scrape tag
-// are skipped by the caller so each real host is evaluated exactly once.
-std::string effective_host(const SeriesKey& key,
-                           const std::vector<std::pair<std::string, std::string>>& labels,
-                           bool* foreign) {
-  *foreign = false;
-  for (const auto& [k, v] : labels) {
-    if (k != "host") continue;
-    *foreign = v != key.host;
-    return v;
-  }
-  return key.host;
+const std::string* host_label(const std::vector<std::pair<std::string, std::string>>& labels) {
+  for (const auto& [k, v] : labels)
+    if (k == "host") return &v;
+  return nullptr;
+}
+
+double last_sample_time(const TimeSeriesStore& store, const SeriesKey& key) {
+  const std::vector<SeriesPoint> points = store.points(key);
+  return points.empty() ? -1 : points.back().t;
 }
 }  // namespace
 
@@ -63,34 +58,58 @@ const std::vector<SloStatus>& SloEngine::evaluate(const TimeSeriesStore& store, 
     const std::string series_name = is_quantile ? spec.metric + "_bucket" : spec.metric;
     const auto selector = parse_labels(spec.labels);
 
-    // Evaluation units: one per (host, label set) matching the spec.
+    // The spec's series, and whether the family is grid-wide: it carries
+    // no host label, yet several scrape targets report it. In-process every
+    // host's pull carries the one process-wide registry, so such a family
+    // is one measurement seen through every host, not one per host.
+    std::vector<std::pair<SeriesKey, std::vector<std::pair<std::string, std::string>>>> matched;
+    bool host_labelled = false;
+    std::vector<std::string> scrape_hosts;
+    for (const SeriesKey& key : store.keys()) {
+      if (key.name != series_name) continue;
+      auto labels = parse_labels(key.labels);
+      if (!selector_matches(selector, labels)) continue;
+      host_labelled = host_labelled || host_label(labels) != nullptr;
+      if (std::find(scrape_hosts.begin(), scrape_hosts.end(), key.host) == scrape_hosts.end())
+        scrape_hosts.push_back(key.host);
+      matched.emplace_back(key, std::move(labels));
+    }
+    const bool grid_scope = !host_labelled && scrape_hosts.size() > 1;
+
+    // Evaluation units: one per (host, label set) matching the spec; a
+    // grid-wide family has one per label set, host "", read from the
+    // scrape target with the freshest sample (a killed host's copy stops).
     struct Unit {
       std::string host;
       SeriesKey key;       // the series to roll up (non-quantile)
       std::string labels;  // the label selector for windowed_quantile
     };
     std::vector<Unit> units;
-    for (const SeriesKey& key : store.keys()) {
-      if (key.name != series_name) continue;
-      auto labels = parse_labels(key.labels);
-      if (!selector_matches(selector, labels)) continue;
-      bool foreign = false;
-      const std::string host = effective_host(key, labels, &foreign);
-      if (foreign) continue;  // another host's family under a foreign scrape
+    for (auto& [key, labels] : matched) {
+      std::string host = key.host;
+      if (const std::string* own = host_label(labels)) {
+        // A per-host family in a shared registry: evaluate each real host
+        // once, from the scrape target it names.
+        if (*own != key.host) continue;
+      } else if (grid_scope) {
+        host.clear();
+      }
       if (is_quantile) {
         // Group buckets: drop the le label and dedupe on the rest.
         labels.erase(std::remove_if(labels.begin(), labels.end(),
                                     [](const auto& p) { return p.first == "le"; }),
                      labels.end());
       }
-      Unit unit;
-      unit.host = host;
-      unit.key = key;
-      unit.labels = render_pairs(labels);
-      bool duplicate = false;
-      for (const Unit& existing : units)
-        if (existing.host == unit.host && existing.labels == unit.labels) duplicate = true;
-      if (!duplicate) units.push_back(std::move(unit));
+      const std::string rendered = render_pairs(labels);
+      auto existing = std::find_if(units.begin(), units.end(), [&](const Unit& u) {
+        return u.host == host && u.labels == rendered;
+      });
+      if (existing == units.end()) {
+        units.push_back({std::move(host), key, rendered});
+      } else if (grid_scope &&
+                 last_sample_time(store, key) > last_sample_time(store, existing->key)) {
+        existing->key = key;
+      }
     }
 
     for (const Unit& unit : units) {
@@ -166,8 +185,9 @@ const std::vector<SloStatus>& SloEngine::evaluate(const TimeSeriesStore& store, 
       }
 
       char detail[160];
-      std::snprintf(detail, sizeof(detail), "%s host=%s: %s value=%.4g bound=%.4g%s",
-                    spec.name.c_str(), unit.host.c_str(), to_string(next), status.value,
+      const std::string scope = unit.host.empty() ? "grid" : "host=" + unit.host;
+      std::snprintf(detail, sizeof(detail), "%s %s: %s value=%.4g bound=%.4g%s",
+                    spec.name.c_str(), scope.c_str(), to_string(next), status.value,
                     spec.threshold, status.anomaly ? " ANOMALY" : "");
       status.detail = detail;
 
@@ -198,7 +218,7 @@ const std::vector<SloStatus>& SloEngine::evaluate(const TimeSeriesStore& store, 
 std::vector<Advisory> SloEngine::advisories(const std::string& host) const {
   std::vector<Advisory> out;
   for (const SloStatus& status : current_) {
-    if (status.host != host) continue;
+    if (status.host.empty() || status.host != host) continue;  // "" = grid scope
     const bool burning = status.state == SloStatus::State::Burning ||
                          status.state == SloStatus::State::Violated;
     if (!burning && !status.anomaly) continue;

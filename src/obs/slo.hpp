@@ -1,10 +1,10 @@
 // SLO + anomaly engine — turns the time-series history into grid-level
 // judgement. Declarative objectives (frame p99 below a bound, fps at
 // least a target, a counter's rate at most a ceiling) are evaluated per
-// host over rolling windows of the TimeSeriesStore; a violation that
-// sustains past `burn_seconds` escalates Ok → Burning → Violated, and
-// each state transition emits a structured log_event plus a flight
-// recorder note. A windowed mean-shift detector flags step-change
+// host (or once at grid scope for a process-wide family) over rolling
+// windows of the TimeSeriesStore; a violation that sustains past
+// `burn_seconds` escalates Ok → Burning → Violated, and each state
+// transition emits a structured log_event plus a flight recorder note. A windowed mean-shift detector flags step-change
 // anomalies independently of any threshold.
 //
 // The engine's outputs are *advisory*: plan_migration reads them as trend
@@ -48,7 +48,7 @@ struct SloSpec {
 struct SloStatus {
   enum class State : uint8_t { NoData, Ok, Burning, Violated };
   std::string slo;
-  std::string host;
+  std::string host;  // "" = grid scope (a process-wide family)
   State state = State::NoData;
   double value = 0;          // the evaluated windowed value
   double threshold = 0;      // the spec bound, for display
@@ -66,7 +66,10 @@ class SloEngine {
 
   // Evaluate every objective against every host present in the store;
   // returns (and retains) the per-(slo, host) statuses, deterministically
-  // ordered. State transitions log + flight-record as a side effect.
+  // ordered. A family with no host label that several scrape targets
+  // report is one process-wide measurement: it is judged once, at grid
+  // scope (host ""). State transitions log + flight-record as a side
+  // effect.
   const std::vector<SloStatus>& evaluate(const TimeSeriesStore& store, double now);
 
   [[nodiscard]] const std::vector<SloStatus>& current() const { return current_; }
@@ -74,6 +77,7 @@ class SloEngine {
   // One advisory per flagged objective of `host` in the most recent
   // evaluation, in status order: Slo for a burn, Anomaly for a step change
   // (Critical when its objective burns too). Reason = the status detail.
+  // Grid-scope statuses speak for no host and never become advisories.
   [[nodiscard]] std::vector<Advisory> advisories(const std::string& host) const;
 
   // One line per status, for dashboards and deterministic transcripts.

@@ -11,6 +11,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/profiler.hpp"
 #include "util/clock.hpp"
+#include "util/log.hpp"
 
 namespace rave::obs {
 
@@ -24,11 +25,28 @@ double steady_seconds() {
 }
 }  // namespace
 
+bool parse_trace_switch(const char* text, bool& out) {
+  if (text == nullptr) return false;
+  if (std::strcmp(text, "1") == 0 || std::strcmp(text, "on") == 0) {
+    out = true;
+    return true;
+  }
+  if (std::strcmp(text, "0") == 0 || std::strcmp(text, "off") == 0) {
+    out = false;
+    return true;
+  }
+  return false;
+}
+
 Tracer& Tracer::global() {
   static Tracer* tracer = [] {
     auto* t = new Tracer();  // never destroyed
-    if (const char* env = std::getenv("RAVE_TRACE"))
-      if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0) t->set_enabled(true);
+    bool on = false;
+    const char* env = std::getenv("RAVE_TRACE");
+    if (env != nullptr && !parse_trace_switch(env, on))
+      util::log_warn("trace") << "RAVE_TRACE='" << env
+                              << "' not recognized (1|on|0|off); tracing off";
+    t->set_enabled(on);
     return t;
   }();
   return *tracer;

@@ -9,7 +9,9 @@
 // Tracing is off by default and every instrument site guards on one
 // relaxed atomic load plus a thread-local read — the overhead budget with
 // tracing compiled in but disabled is <2% of frame time (BM_ObsOverhead).
-// Enable with RAVE_TRACE=1 or Tracer::global().set_enabled(true).
+// Enable with RAVE_TRACE=1 or Tracer::global().set_enabled(true); a
+// RAVE_TRACE value parse_trace_switch rejects leaves tracing off and logs
+// one warning.
 #pragma once
 
 #include <atomic>
@@ -23,6 +25,10 @@ class Clock;
 }
 
 namespace rave::obs {
+
+// Parse RAVE_TRACE: "1"|"on" is true, "0"|"off" false. False on anything
+// else.
+bool parse_trace_switch(const char* text, bool& out);
 
 struct TraceContext {
   uint64_t trace_id = 0;  // 0 = no trace in flight

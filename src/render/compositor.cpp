@@ -47,17 +47,6 @@ Status depth_composite(FrameBuffer& dst, const FrameBuffer& src, util::ThreadPoo
   return {};
 }
 
-Result<FrameBuffer> depth_composite_all(std::vector<FrameBuffer> buffers,
-                                        util::ThreadPool* pool) {
-  if (buffers.empty()) return make_error("depth_composite_all: no buffers");
-  FrameBuffer out = std::move(buffers.front());
-  for (size_t i = 1; i < buffers.size(); ++i) {
-    const Status st = depth_composite(out, buffers[i], pool);
-    if (!st.ok()) return make_error(st.error());
-  }
-  return out;
-}
-
 Status assemble_tiles(FrameBuffer& dst, const std::vector<TileResult>& tiles) {
   for (const TileResult& t : tiles) {
     if (t.buffer.width() != t.tile.width || t.buffer.height() != t.tile.height)

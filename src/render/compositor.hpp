@@ -26,10 +26,6 @@ namespace rave::render {
 util::Status depth_composite(FrameBuffer& dst, const FrameBuffer& src,
                              util::ThreadPool* pool = nullptr);
 
-// Merge many buffers into one (first buffer is the base).
-util::Result<FrameBuffer> depth_composite_all(std::vector<FrameBuffer> buffers,
-                                              util::ThreadPool* pool = nullptr);
-
 // Insert each tile's buffer into the destination frame.
 struct TileResult {
   Tile tile;

@@ -54,9 +54,7 @@ bool LayerCache::same(const View& a, const View& b) {
   return same_bits(a.camera.eye, b.camera.eye) && same_bits(a.camera.target, b.camera.target) &&
          same_bits(a.camera.up, b.camera.up) && same_bits(a.camera.fov_y_deg, b.camera.fov_y_deg) &&
          same_bits(a.camera.znear, b.camera.znear) && same_bits(a.camera.zfar, b.camera.zfar) &&
-         a.width == b.width && a.height == b.height && a.region == b.region &&
-         same_bits(a.background, b.background) && same_bits(a.light_dir, b.light_dir) &&
-         same_bits(a.ambient, b.ambient) && a.backface_cull == b.backface_cull;
+         a.width == b.width && a.height == b.height && a.region == b.region;
 }
 
 size_t LayerCache::common_prefix(const std::vector<Item>& a, const std::vector<Item>& b) {
@@ -69,9 +67,8 @@ size_t LayerCache::common_prefix(const std::vector<Item>& a, const std::vector<I
 
 bool LayerCache::draw(Rasterizer& raster, const RenderList& list, const Camera& camera,
                       const RenderOptions& options) {
-  const View view{camera,          raster.framebuffer().width(), raster.framebuffer().height(),
-                  options.region,  options.background,           options.light_dir,
-                  options.ambient, options.backface_cull};
+  const View view{camera, raster.framebuffer().width(), raster.framebuffer().height(),
+                  options.region};
   std::vector<Item> items;
   items.reserve(list.raster.size());
   for (const RenderList::RasterItem& item : list.raster)

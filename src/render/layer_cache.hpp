@@ -8,14 +8,14 @@
 // byte-identical to a full draw by construction: same planes, same
 // remaining items in the same order (DESIGN.md "Layer reuse").
 //
-// Key: the camera, the frame size, RenderOptions::region and the shading
-// fields of RenderOptions (bit for bit), plus each prefix item's
+// Key: the camera, the frame size and RenderOptions::region (bit for bit;
+// shading is fixed, rasterizer.cpp), plus each prefix item's
 // (node id, node stamp, world matrix) in list order. Stamps are renewed
 // by every SceneTree mutator (scene/node.hpp), so an edited payload, a
 // moved node or an inserted/removed item ends the prefix there.
 //
 // Snapshot policy: a miss renders the full list and snapshots only when
-// the view (camera, size, region, shading) equals the previous render's,
+// the view (camera, size, region) equals the previous render's,
 // at the first item that differs from the previous render's list, backed
 // up over the cheap items just before it (at most 1/32 of the prefix's
 // triangles and points), so that a later edit of one of those still hits.
@@ -55,9 +55,6 @@ class LayerCache {
     Camera camera;
     int width = 0, height = 0;
     Tile region;
-    Vec3 background, light_dir;
-    float ambient = 0;
-    bool backface_cull = false;
   };
   static bool same(const View& a, const View& b);
   static size_t common_prefix(const std::vector<Item>& a, const std::vector<Item>& b);

@@ -23,6 +23,13 @@ namespace {
 // Vertex-shading work is chunked at this granularity on the pool.
 constexpr size_t kVertexChunk = 4096;
 
+// The fixed shading model: background colour, light direction (towards
+// the light, world space) and the ambient floor of the Lambert term.
+// Back faces are always culled.
+constexpr Vec3 kBackground{0.08f, 0.08f, 0.12f};
+constexpr Vec3 kLightDir{0.35f, 0.55f, 0.85f};
+constexpr float kAmbient = 0.35f;
+
 uint8_t to_byte(float v) { return static_cast<uint8_t>(std::clamp(v, 0.0f, 1.0f) * 255.0f + 0.5f); }
 
 Tile clamp_region(const Tile& region, int width, int height) {
@@ -454,12 +461,12 @@ Rasterizer::Rasterizer(int width, int height) : fb_(width, height) {}
 void Rasterizer::clear(const RenderOptions& options) {
   const Tile region = clamp_region(options.region, fb_.width(), fb_.height());
   if (region.width == fb_.width() && region.height == fb_.height()) {
-    fb_.clear(options.background);
+    fb_.clear(kBackground);
     return;
   }
-  const uint8_t r = to_byte(options.background.x);
-  const uint8_t g = to_byte(options.background.y);
-  const uint8_t b = to_byte(options.background.z);
+  const uint8_t r = to_byte(kBackground.x);
+  const uint8_t g = to_byte(kBackground.y);
+  const uint8_t b = to_byte(kBackground.z);
   for (int y = region.y; y < region.bottom(); ++y) {
     fb_.fill_color_row(region.x, y, region.width, r, g, b);
     fb_.fill_depth_row(region.x, y, region.width, 1.0f);
@@ -474,7 +481,7 @@ void Rasterizer::draw_mesh(const scene::MeshData& mesh, const Mat4& model, const
 
   const float aspect = static_cast<float>(fb_.width()) / static_cast<float>(fb_.height());
   const Mat4 mvp = camera.projection(aspect) * camera.view() * model;
-  const Vec3 light = util::normalize(options.light_dir);
+  const Vec3 light = util::normalize(kLightDir);
   // Normal matrix: rotation part of the model matrix (uniform scale
   // assumed; normals are re-normalized after transform).
   const bool has_normals = mesh.normals.size() == mesh.positions.size();
@@ -492,8 +499,7 @@ void Rasterizer::draw_mesh(const scene::MeshData& mesh, const Mat4& model, const
       float lambert = 1.0f;
       if (has_normals) {
         const Vec3 n = util::normalize(model.transform_dir(mesh.normals[i]));
-        lambert = options.ambient +
-                  (1.0f - options.ambient) * std::max(0.0f, util::dot(n, light));
+        lambert = kAmbient + (1.0f - kAmbient) * std::max(0.0f, util::dot(n, light));
       }
       shaded[i].color = albedo * lambert;
       project_vertex(shaded[i], fb_w, fb_h);
@@ -543,7 +549,6 @@ void Rasterizer::draw_mesh(const scene::MeshData& mesh, const Mat4& model, const
       if (inside == 3) {
         // Fast path: no clipping, no vertex copies.
         submit(*v[0], *v[1], *v[2]);
-        if (!options.backface_cull) submit(*v[0], *v[2], *v[1]);
         continue;
       }
 
@@ -570,10 +575,6 @@ void Rasterizer::draw_mesh(const scene::MeshData& mesh, const Mat4& model, const
       for (int i = 1; i + 1 < count; ++i) {
         // Backface culling happens in setup_triangle via signed area.
         submit(clipped[0], clipped[i], clipped[i + 1]);
-        if (!options.backface_cull) {
-          // Also rasterize the reversed winding so back faces are visible.
-          submit(clipped[0], clipped[i + 1], clipped[i]);
-        }
       }
     }
   }

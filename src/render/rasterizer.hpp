@@ -65,11 +65,9 @@ struct RenderStats {
   }
 };
 
+// Shading is fixed (rasterizer.cpp): one directional light over an
+// ambient floor, back faces culled, a dark blue-grey background.
 struct RenderOptions {
-  Vec3 background{0.08f, 0.08f, 0.12f};
-  Vec3 light_dir{0.35f, 0.55f, 0.85f};  // towards the light, world space
-  float ambient = 0.35f;
-  bool backface_cull = true;
   // Skip whole nodes whose world bounds fall outside the view frustum.
   bool frustum_cull = true;
   // Restrict rasterization to one tile of the full viewport. Width 0 means

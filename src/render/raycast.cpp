@@ -93,6 +93,13 @@ struct RayLocal {
 
 constexpr int kMaxWave = 8;
 
+// Rays retire once accumulated opacity reaches kOpacityCutoff. Depth is
+// written at the first sample where it reaches kDepthAlpha, so a
+// visibly-contributing but unsaturated volume still occludes geometry
+// rasterized after it (thin volumes are not punched through).
+constexpr float kOpacityCutoff = 0.97f;
+constexpr float kDepthAlpha = 0.05f;
+
 // Lane outputs of one wave of consecutive samples along a ray.
 struct SampleWave {
   float density[kMaxWave];
@@ -583,7 +590,7 @@ RenderStats raycast_volume(FrameBuffer& fb, const VoxelGridData& grid, const Mat
 
   const scene::Aabb box = grid.bounds();
   const float min_spacing = std::min({grid.spacing.x, grid.spacing.y, grid.spacing.z});
-  const float step = min_spacing / std::max(options.sampling_rate, 0.05f);
+  const float step = min_spacing;  // one sample per voxel edge
   if (!(step > 0.0f)) return st;
   // Reciprocal for the sample-count and skip estimates only; the anchored
   // sample positions themselves always multiply by `step`.
@@ -736,8 +743,8 @@ RenderStats raycast_volume(FrameBuffer& fb, const VoxelGridData& grid, const Mat
           acc_alpha += contrib;
           const float t = ray.t0 + static_cast<float>(k + i) * ray.step;
           if (first_hit_t < 0.0f) first_hit_t = t;
-          if (depth_t < 0.0f && acc_alpha >= options.depth_alpha) depth_t = t;
-          if (acc_alpha >= options.opacity_cutoff) {
+          if (depth_t < 0.0f && acc_alpha >= kDepthAlpha) depth_t = t;
+          if (acc_alpha >= kOpacityCutoff) {
             retired = true;
             break;
           }
@@ -768,9 +775,7 @@ RenderStats raycast_volume(FrameBuffer& fb, const VoxelGridData& grid, const Mat
       const Vec3 out = acc_color + back_color * (1.0f - acc_alpha);
       fb.set_pixel(px, py, to_byte(out.x), to_byte(out.y), to_byte(out.z));
       // Write depth at the sample where accumulated opacity crossed
-      // depth_alpha, so a visibly-contributing volume occludes geometry
-      // rasterized after it (not only fully-saturated rays, which punched
-      // thin volumes through).
+      // kDepthAlpha.
       float depth_write;
       if (depth_t >= 0.0f && project_depth(depth_t, depth_write) && depth_write < existing)
         fb.set_depth(px, py, depth_write);

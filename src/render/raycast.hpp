@@ -31,17 +31,9 @@ namespace rave::render {
 
 struct RenderList;  // render/render_list.hpp
 
+// Rays take one sample per voxel edge, stop once accumulated opacity
+// reaches 0.97, and write depth where it first reaches 0.05 (raycast.cpp).
 struct RaycastOptions {
-  // Samples per voxel edge; >1 oversamples, <1 skips.
-  float sampling_rate = 1.0f;
-  // Terminate rays once accumulated opacity exceeds this.
-  float opacity_cutoff = 0.97f;
-  // Write depth at the first sample where accumulated opacity crosses this
-  // threshold. A visibly-contributing-but-unsaturated volume therefore
-  // still occludes geometry rasterized after it (previously depth was only
-  // written at the full opacity_cutoff, and thin volumes were punched
-  // through).
-  float depth_alpha = 0.05f;
   // Macro-cell empty-space skipping. False = the brute-force march (every
   // sample evaluated) — the byte-identical twin the property tests and the
   // BENCH_raycast baseline compare against.

@@ -57,12 +57,9 @@ RenderList build_render_list(const scene::SceneTree& tree, const scene::Camera& 
     return list;
   }
 
-  for (scene::NodeId root : options.roots) {
-    if (!tree.contains(root)) continue;
-    tree.traverse(visit_raster, root);
-    if (!options.volumes_whole_tree) tree.traverse(visit_volume, root);
-  }
-  if (options.volumes_whole_tree) tree.traverse(visit_volume);
+  for (scene::NodeId root : options.roots)
+    if (tree.contains(root)) tree.traverse(visit_raster, root);
+  tree.traverse(visit_volume);
   return list;
 }
 

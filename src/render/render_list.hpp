@@ -47,12 +47,10 @@ struct RenderList {
 struct RenderListOptions {
   bool frustum_cull = true;
   // Extract rasterizable items only from these subtrees (a subset holder's
-  // interest roots). Empty = the whole tree.
+  // interest roots). Empty = the whole tree. Volume blocks always come from
+  // the whole tree: every holder blends them (RenderService's subset
+  // semantics).
   std::vector<scene::NodeId> roots;
-  // With non-empty roots: still take volume blocks from the whole tree
-  // (matches RenderService's subset semantics, where volume sub-blocks are
-  // blended by every holder).
-  bool volumes_whole_tree = true;
 };
 
 // Walk the tree once and build the per-backend lists. Pointers into the

@@ -44,7 +44,7 @@ StereoPair render_stereo(const scene::SceneTree& tree, const Camera& camera, int
     Rasterizer raster(width, height);
     raster.clear(options.base);
     raster.draw_list(list, eye, options.base);
-    if (options.include_volumes) raycast_list(raster.framebuffer(), list, eye, ray_opts);
+    raycast_list(raster.framebuffer(), list, eye, ray_opts);
     return std::move(raster.framebuffer());
   };
   StereoPair pair;

@@ -13,7 +13,6 @@ struct StereoOptions {
   // Interocular distance in world units.
   float eye_separation = 0.065f;
   RenderOptions base{};
-  bool include_volumes = true;
 };
 
 struct StereoPair {

@@ -6,8 +6,8 @@
 //
 // - Xxh64 streams pixel content (tiles, whole frames) at memory speed:
 //   four independent 64-bit lanes over 32-byte stripes.
-// - FNV-1a 64 folds small fixed-width keys and off-frame-path byte runs,
-//   where a byte walk costs nothing.
+// - FNV-1a 64 folds small fixed-width keys, where a byte walk costs
+//   nothing.
 #pragma once
 
 #include <bit>
@@ -20,24 +20,8 @@ namespace rave::util {
 inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 inline constexpr uint64_t kFnvPrime = 1099511628211ull;
 
-[[nodiscard]] inline uint64_t fnv1a(uint64_t h, const uint8_t* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-// Fold a fixed-width integer in little-endian byte order, so the hash does
-// not depend on host endianness.
-[[nodiscard]] inline uint64_t fnv1a_u32(uint64_t h, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    h ^= static_cast<uint8_t>(v >> (8 * i));
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
+// Fold a 64-bit integer in little-endian byte order, so the hash does not
+// depend on host endianness.
 [[nodiscard]] inline uint64_t fnv1a_u64(uint64_t h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= static_cast<uint8_t>(v >> (8 * i));

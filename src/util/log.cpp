@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 
 #include "util/clock.hpp"
@@ -11,36 +12,43 @@
 namespace rave::util {
 
 namespace {
-// RAVE_LOG=trace|debug|info|warn|error|off overrides the default level at
-// process start; set_log_level() still wins afterwards.
+// Indexed by LogLevel: the RAVE_LOG / log_level_name spelling and the
+// tag each log line carries.
+constexpr const char* kNames[] = {"trace", "debug", "info", "warn", "error", "off"};
+constexpr const char* kTags[] = {"TRACE", "DEBUG", "INFO", "WARN", "ERROR", "OFF"};
+
 LogLevel initial_level() {
   const char* env = std::getenv("RAVE_LOG");
-  if (env == nullptr) return LogLevel::Warn;
-  if (std::strcmp(env, "trace") == 0) return LogLevel::Trace;
-  if (std::strcmp(env, "debug") == 0) return LogLevel::Debug;
-  if (std::strcmp(env, "info") == 0) return LogLevel::Info;
-  if (std::strcmp(env, "warn") == 0) return LogLevel::Warn;
-  if (std::strcmp(env, "error") == 0) return LogLevel::Error;
-  if (std::strcmp(env, "off") == 0) return LogLevel::Off;
-  return LogLevel::Warn;
+  LogLevel level = LogLevel::Warn;
+  if (env != nullptr && !parse_log_level(env, level)) {
+    // The logger is not up yet (this initializes it): write the line
+    // directly, in log_write's format.
+    std::fprintf(stderr,
+                 "[WARN] log: RAVE_LOG='%s' not recognized "
+                 "(trace|debug|info|warn|error|off); using warn\n",
+                 env);
+  }
+  return level;
 }
 
 std::atomic<LogLevel> g_level{initial_level()};
 std::atomic<const Clock*> g_clock{nullptr};
 std::mutex g_write_mu;
 
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::Trace: return "TRACE";
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO";
-    case LogLevel::Warn: return "WARN";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
-  }
-  return "?";
-}
 }  // namespace
+
+const char* log_level_name(LogLevel level) { return kNames[static_cast<int>(level)]; }
+
+bool parse_log_level(const char* name, LogLevel& out) {
+  if (name == nullptr) return false;
+  for (size_t i = 0; i < std::size(kNames); ++i) {
+    if (std::strcmp(name, kNames[i]) == 0) {
+      out = static_cast<LogLevel>(i);
+      return true;
+    }
+  }
+  return false;
+}
 
 void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
 
@@ -60,7 +68,7 @@ void log_write(LogLevel level, const std::string& component, const std::string& 
     line += stamp;
   }
   line += "[";
-  line += level_name(level);
+  line += kTags[static_cast<int>(level)];
   line += "] ";
   line += component;
   line += ": ";

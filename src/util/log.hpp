@@ -12,8 +12,15 @@ class Clock;
 
 enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4, Off = 5 };
 
+// The level at process start is RAVE_LOG's when it parses, else Warn;
+// set_log_level() wins afterwards.
 void set_log_level(LogLevel level);
 LogLevel log_level();
+
+// "trace"|"debug"|"info"|"warn"|"error"|"off".
+const char* log_level_name(LogLevel level);
+// Parse one of log_level_name's names (case-sensitive). False on unknown.
+bool parse_log_level(const char* name, LogLevel& out);
 
 // When a clock is installed, every log line is prefixed with `[seconds]`
 // from it — virtual time under SimClock, wall time under RealClock. Pass

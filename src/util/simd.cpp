@@ -76,7 +76,8 @@ std::atomic<uint8_t>& active_level_storage() {
       if (parse_simd_level(env, parsed)) {
         l = clamp_to_hardware(parsed);
       } else {
-        log_warn("simd") << "RAVE_SIMD='" << env << "' not recognized; using "
+        log_warn("simd") << "RAVE_SIMD='" << env
+                         << "' not recognized (scalar|sse2|avx2|neon); using "
                          << simd_level_name(l);
       }
     }

@@ -61,36 +61,55 @@ Image full_delivery_reference(const Image& frame, QualityClass quality, int tile
 
 // --- FanoutHub (satellite: lock scope + byte accounting) ---------------------
 
-TEST(FanoutHub, CountsBytesPerDeliveryAndSkipsFiltered) {
+TEST(FanoutHub, CountsBytesPerDeliveryAndSkipsFailedSends) {
   net::FanoutHub hub;
   auto [a_pub, a_sub] = net::make_channel_pair();
   auto [b_pub, b_sub] = net::make_channel_pair();
   hub.subscribe(a_pub);
-  hub.subscribe(b_pub, [](const net::Message& m) { return m.type != 0x42; });
+  hub.subscribe(b_pub);
 
-  net::Message wanted{0x41, {1, 2, 3}};
-  net::Message filtered{0x42, {4, 5, 6, 7}};
-  EXPECT_EQ(hub.publish(wanted), 2u);
-  EXPECT_EQ(hub.publish(filtered), 1u);  // b's filter skipped it
+  net::Message first{0x41, {1, 2, 3}};
+  net::Message second{0x42, {4, 5, 6, 7}};
+  EXPECT_EQ(hub.publish(first), 2u);
+  EXPECT_TRUE(b_sub->try_receive().has_value());
+  b_sub->close();  // b's next send fails
+  EXPECT_EQ(hub.publish(second), 1u);
   // Unicast counts actual deliveries only; multicast counts the payload
   // once per publish that reached anyone.
-  EXPECT_EQ(hub.unicast_bytes(), 2 * wanted.wire_size() + filtered.wire_size());
-  EXPECT_EQ(hub.multicast_bytes(), wanted.wire_size() + filtered.wire_size());
+  EXPECT_EQ(hub.unicast_bytes(), 2 * first.wire_size() + second.wire_size());
+  EXPECT_EQ(hub.multicast_bytes(), first.wire_size() + second.wire_size());
   EXPECT_TRUE(a_sub->try_receive().has_value());
-  EXPECT_TRUE(b_sub->try_receive().has_value());
   EXPECT_TRUE(a_sub->try_receive().has_value());
-  EXPECT_FALSE(b_sub->try_receive().has_value());
 }
 
+// Forwards to an in-process endpoint, asking the hub for its subscriber
+// count inside every send.
+class ReentrantChannel final : public net::Channel {
+ public:
+  ReentrantChannel(net::FanoutHub& hub, net::ChannelPtr inner)
+      : hub_(&hub), inner_(std::move(inner)) {}
+  util::Status send(net::Message message) override {
+    (void)hub_->subscriber_count();  // re-entrant lock acquisition
+    return inner_->send(std::move(message));
+  }
+  util::Result<net::Message> receive_result(double timeout_seconds) override {
+    return inner_->receive_result(timeout_seconds);
+  }
+  void close() override { inner_->close(); }
+  [[nodiscard]] bool is_open() const override { return inner_->is_open(); }
+  [[nodiscard]] net::ChannelStats stats() const override { return inner_->stats(); }
+
+ private:
+  net::FanoutHub* hub_;
+  net::ChannelPtr inner_;
+};
+
 TEST(FanoutHub, PublishRunsOutsideTheLock) {
-  // A filter that re-enters the hub would deadlock if publish held the
+  // A send that re-enters the hub would deadlock if publish held the
   // mutex across delivery; with snapshot-then-send it must not.
   net::FanoutHub hub;
   auto [pub, sub] = net::make_channel_pair();
-  hub.subscribe(pub, [&hub](const net::Message&) {
-    (void)hub.subscriber_count();  // re-entrant lock acquisition
-    return true;
-  });
+  hub.subscribe(std::make_shared<ReentrantChannel>(hub, pub));
   EXPECT_EQ(hub.publish(net::Message{1, {9}}), 1u);
   EXPECT_TRUE(sub->try_receive().has_value());
 }

@@ -252,17 +252,6 @@ TEST(Fanout, PublishReachesAllSubscribers) {
   EXPECT_TRUE(b2->try_receive().has_value());
 }
 
-TEST(Fanout, FilterSkipsUninterested) {
-  FanoutHub hub;
-  auto [a1, a2] = make_channel_pair();
-  auto [b1, b2] = make_channel_pair();
-  hub.subscribe(a1, [](const Message& m) { return m.type == 1; });
-  hub.subscribe(b1);
-  EXPECT_EQ(hub.publish({2, {}}), 1u);
-  EXPECT_FALSE(a2->try_receive().has_value());
-  EXPECT_TRUE(b2->try_receive().has_value());
-}
-
 TEST(Fanout, MulticastAccountingCountsPayloadOnce) {
   FanoutHub hub;
   auto [a1, a2] = make_channel_pair();

@@ -172,6 +172,23 @@ TEST(Metrics, LogEventCountsAndRecords) {
 
 // --- tracing -----------------------------------------------------------------
 
+TEST(EnvParse, TraceSwitchAcceptsOnOffSpellingsOnly) {
+  const struct {
+    const char* text;
+    bool ok;
+    bool on;
+  } cases[] = {
+      {"1", true, true},   {"on", true, true},    {"0", true, false},
+      {"off", true, false}, {"true", false, false}, {"ON", false, false},
+      {"", false, false},  {"yes", false, false}, {nullptr, false, false},
+  };
+  for (const auto& c : cases) {
+    bool on = false;
+    EXPECT_EQ(parse_trace_switch(c.text, on), c.ok) << (c.text ? c.text : "(null)");
+    EXPECT_EQ(on, c.on) << (c.text ? c.text : "(null)");
+  }
+}
+
 TEST(Trace, SpansInactiveWhenDisabled) {
   Tracer::global().reset();
   Tracer::global().set_enabled(false);
@@ -519,19 +536,6 @@ TEST(Flight, FailureAutoCapturesPostmortem) {
   recorder.clear();
   EXPECT_EQ(recorder.event_count(), 0u);
   EXPECT_TRUE(recorder.last_dump().empty());
-}
-
-TEST(Flight, ParseCapacityClampsAndFallsBack) {
-  // RAVE_FLIGHT_EVENTS: bounds-clamped to [16, 65536]; anything that is
-  // not a clean positive number falls back.
-  EXPECT_EQ(parse_flight_capacity("1024", 512), 1024u);
-  EXPECT_EQ(parse_flight_capacity(nullptr, 512), 512u);
-  EXPECT_EQ(parse_flight_capacity("", 512), 512u);
-  EXPECT_EQ(parse_flight_capacity("abc", 512), 512u);
-  EXPECT_EQ(parse_flight_capacity("64junk", 512), 512u);
-  EXPECT_EQ(parse_flight_capacity("-5", 512), 16u);  // clean parse, clamped
-  EXPECT_EQ(parse_flight_capacity("8", 512), 16u);           // clamp up
-  EXPECT_EQ(parse_flight_capacity("100000000", 512), 65536u);  // clamp down
 }
 
 TEST(Metrics, ScrapeEmitsHelpCommentsForKnownFamilies) {

@@ -740,5 +740,51 @@ TEST(FanoutRelay, CountsUpstreamForwardFailures) {
             counter_before + 1);
 }
 
+// --- environment parses (RAVE_NET_QUEUE, RAVE_NET_SHED) ---------------------
+
+TEST(EnvParse, QueueLimitTakesPositiveCountsOnly) {
+  const struct {
+    const char* text;
+    bool ok;
+    size_t limit;
+  } cases[] = {
+      {"1", true, 1},   {"256", true, 256}, {"1024", true, 1024},
+      {"0", false, 0},  {"-5", false, 0},   {"64k", false, 0},
+      {"", false, 0},   {"8 ", false, 0},   {"99999999999999999999", false, 0},
+      {nullptr, false, 0},
+  };
+  for (const auto& c : cases) {
+    size_t limit = 1024;
+    EXPECT_EQ(parse_queue_limit(c.text, limit), c.ok) << (c.text ? c.text : "(null)");
+    EXPECT_EQ(limit, c.ok ? c.limit : 1024u) << (c.text ? c.text : "(null)");
+  }
+}
+
+TEST(EnvParse, ShedPolicyNamesRoundTripAndRejectsTheRest) {
+  const struct {
+    const char* text;
+    bool ok;
+    ShedPolicy policy;
+  } cases[] = {
+      {"block", true, ShedPolicy::Block},
+      {"drop-newest", true, ShedPolicy::DropNewest},
+      {"drop-oldest", true, ShedPolicy::DropOldest},
+      {"drop_oldest", false, {}},
+      {"Block", false, {}},
+      {"", false, {}},
+      {nullptr, false, {}},
+  };
+  for (const auto& c : cases) {
+    ShedPolicy policy = ShedPolicy::Block;
+    EXPECT_EQ(parse_shed_policy(c.text, policy), c.ok) << (c.text ? c.text : "(null)");
+    if (c.ok) {
+      EXPECT_EQ(policy, c.policy) << c.text;
+      EXPECT_STREQ(shed_policy_name(policy), c.text);
+    } else {
+      EXPECT_EQ(policy, ShedPolicy::Block);  // untouched on failure
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rave::net

@@ -389,6 +389,42 @@ TEST(Slo, SharedRegistrySeriesEvaluateOncePerRealHost) {
   EXPECT_NE(status[1].state, SloStatus::State::Ok);
 }
 
+TEST(Slo, ProcessWideFamilyIsJudgedOnceAtGridScope) {
+  // rave_stream_delivery_seconds carries no host label: in-process, every
+  // host's pull (the data host's and both render hosts') carries the same
+  // process-wide histogram. A burning delivery class is one grid-scope
+  // status, and no host gets an advisory for it.
+  TimeSeriesStore store;
+  SloEngine engine;
+  for (const SloSpec& spec : default_render_slos())
+    if (spec.name == "delivery_latency_workstation") engine.add(spec);
+  ASSERT_EQ(engine.specs().size(), 1u);
+  const std::string sel = "class=\"workstation\",hop=\"deliver\"";
+  for (double t = 1; t <= 8; t += 1) {
+    // Every delivery takes 0.2 s, far over the 66 ms budget.
+    const double n = t * 15;
+    for (const char* host : {"datahost", "laptop", "xeon"}) {
+      store.append({host, "rave_stream_delivery_seconds_bucket", "{" + sel + ",le=\"0.1\"}"}, t,
+                   0);
+      store.append({host, "rave_stream_delivery_seconds_bucket", "{" + sel + ",le=\"0.25\"}"},
+                   t, n);
+      store.append({host, "rave_stream_delivery_seconds_bucket", "{" + sel + ",le=\"+Inf\"}"},
+                   t, n);
+      store.append({host, "rave_stream_delivery_seconds_count", "{" + sel + "}"}, t, n);
+    }
+    engine.evaluate(store, t);
+  }
+  const std::vector<SloStatus>& status = engine.current();
+  ASSERT_EQ(status.size(), 1u);
+  EXPECT_EQ(status[0].host, "");
+  EXPECT_EQ(status[0].state, SloStatus::State::Violated);
+  EXPECT_NE(engine.format_current().find("delivery_latency_workstation grid: VIOLATED"),
+            std::string::npos)
+      << engine.format_current();
+  for (const char* host : {"datahost", "laptop", "xeon", ""})
+    EXPECT_TRUE(engine.advisories(host).empty()) << host;
+}
+
 }  // namespace
 }  // namespace rave::obs
 

@@ -10,8 +10,10 @@
 #include <thread>
 
 #include "util/clock.hpp"
+#include "util/log.hpp"
 #include "util/result.hpp"
 #include "util/serial.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 #include "util/vec.hpp"
 
@@ -271,6 +273,53 @@ TEST(ThreadPool, ParallelForNestedInsideParallelFor) {
     pool.parallel_for(8, [&](size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 4 * 8);
+}
+
+// --- environment parses (RAVE_LOG, RAVE_SIMD) ----------------------------------
+
+TEST(EnvParse, LogLevelNamesRoundTripAndRejectsTheRest) {
+  const struct {
+    const char* text;
+    bool ok;
+    LogLevel level;
+  } cases[] = {
+      {"trace", true, LogLevel::Trace}, {"debug", true, LogLevel::Debug},
+      {"info", true, LogLevel::Info},   {"warn", true, LogLevel::Warn},
+      {"error", true, LogLevel::Error}, {"off", true, LogLevel::Off},
+      {"verbose", false, {}},           {"WARN", false, {}},
+      {"", false, {}},                  {"info ", false, {}},
+      {nullptr, false, {}},
+  };
+  for (const auto& c : cases) {
+    LogLevel level = LogLevel::Warn;
+    EXPECT_EQ(parse_log_level(c.text, level), c.ok) << (c.text ? c.text : "(null)");
+    if (c.ok) {
+      EXPECT_EQ(level, c.level) << c.text;
+      EXPECT_STREQ(log_level_name(level), c.text);
+    } else {
+      EXPECT_EQ(level, LogLevel::Warn);  // untouched on failure
+    }
+  }
+}
+
+TEST(EnvParse, SimdLevelNamesRoundTripAndRejectsTheRest) {
+  const struct {
+    const char* text;
+    bool ok;
+    SimdLevel level;
+  } cases[] = {
+      {"scalar", true, SimdLevel::Scalar}, {"sse2", true, SimdLevel::Sse2},
+      {"avx2", true, SimdLevel::Avx2},     {"neon", true, SimdLevel::Neon},
+      {"AVX2", false, {}},                 {"avx512", false, {}},
+      {"", false, {}},                     {nullptr, false, {}},
+  };
+  for (const auto& c : cases) {
+    SimdLevel level = SimdLevel::Scalar;
+    EXPECT_EQ(parse_simd_level(c.text, level), c.ok) << (c.text ? c.text : "(null)");
+    if (c.ok) {
+      EXPECT_EQ(level, c.level) << c.text;
+    }
+  }
 }
 
 }  // namespace
